@@ -8,7 +8,6 @@ checked on every trial.
 """
 
 from .discrepancy import (
-    DiscrepancyReport,
     EtaReport,
     PolarBox,
     angle_discrepancy,

@@ -3,13 +3,16 @@
 Subcommands: sample, solve, classify, analyze, experiment, enumerate-d1,
 report.  Systems are read from a JSON file argument when given, otherwise
 sampled from --n/--d/--seed/--trial.  Exit codes: 0 success, 2 config
-error, 3 bound violation (a theorem failed), 4 I/O error.
+error, 3 bound violation (a theorem failed), 4 I/O error.  A bound
+violation writes violation_dump.json into the run directory of the
+experiment, or into the current directory when the run has none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .discrepancy import (
@@ -160,6 +163,7 @@ def _cmd_experiment(args):
                 "parallelism": args.parallelism or 1,
             }
         )
+    args.run_dir = cfg.out_dir  # where a violation dump goes
     result = run_experiment(cfg)
     for row in result.summary.per_degree:
         line = (
@@ -272,8 +276,11 @@ def main(argv=None) -> int:
     except BoundViolationError as exc:
         print(f"BOUND VIOLATION (theorem failure): {exc}", file=sys.stderr)
         dump = {"message": str(exc), "record": exc.record, "system": exc.system}
-        path = "violation_dump.json"
+        run_dir = getattr(args, "run_dir", None)
+        path = os.path.join(run_dir or "", "violation_dump.json")
         try:
+            if run_dir:
+                os.makedirs(run_dir, exist_ok=True)
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(dump, fh, indent=2, sort_keys=True)
             print(f"diagnostic dump written to {path}", file=sys.stderr)

@@ -42,10 +42,11 @@ class DiscrepancyError(ValueError):
 
 
 class ExactModeTooLarge(DiscrepancyError):
-    """Exact 2d angle discrepancy is O(N^4); use grid mode beyond the cap."""
+    """Exact 2d angle discrepancy is O(N^3) in time; use grid mode beyond
+    EXACT_MODE_POINT_CAP points."""
 
 
-EXACT_MODE_POINT_CAP = 200
+EXACT_MODE_POINT_CAP = 400
 
 
 def _log_abs_big(x) -> float:
@@ -90,52 +91,83 @@ def _angle_grid_1d(args: np.ndarray, grid: int) -> float:
     return float(np.max(g) - np.min(g))
 
 
-def _axis_cuts(args: np.ndarray):
-    """Per-axis data for the exact 2d scan.
+CHUNK_FLOATS = 2**16  # per-array bound of the box scan; 512 KiB stays in cache
 
-    For a sorted unique value array u of length m, a cut pair (a, b) with
-    0 <= a <= b <= m selects the points with rank in [a, b).  The
-    realizable box side lengths for that content range between
-    len_min = u[b-1] - u[a] (both boundaries pinched onto data points via
-    limit variants) and len_max = hi(b) - lo(a) with hi(m) = pi,
-    hi(b) = u[b], lo(0) = -pi, lo(a) = u[a-1].
+
+def _box_scan(cum, n, a1, b1, c1, ends2) -> float:
+    """Sup of |box mass - c * side_2| over axis-1 cut pairs and axis-2 cuts.
+
+    `cum` holds the 2d cumulative masses; pair p selects the axis-1 slab
+    between cuts a1[p] and b1[p], whose cumulative masses along axis 2
+    are M = cum[b1[p]] - cum[a1[p]].  `c1` lists per-pair scale arrays,
+    one per axis-1 length variant, with Haar mass c * side_2.  Each entry
+    (b_cols, hi, a_cols, lo) of `ends2` is an axis-2 length variant: over
+    index pairs i <= j, side_2 = hi[j] - lo[i] and the slab mass of the
+    box is M[b_cols][j] - M[a_cols][i].  The error splits into
+    F[j] - G[i] with F = M[b_cols] - c hi and G = M[a_cols] - c lo, so its
+    largest modulus over i <= j is the larger of max(F - cummin G) and
+    max(cummax G - F): O(1) per (pair, cut) instead of O(cuts).  Pairs go
+    in chunks, so every array allocated here holds at most CHUNK_FLOATS
+    floats.
     """
-    u = np.unique(args)
-    m = u.size
-    a_idx, b_idx = np.nonzero(np.triu(np.ones((m + 1, m + 1), dtype=bool)))
-    lo = np.concatenate(([-np.pi], u))
-    hi = np.concatenate((u, [np.pi]))
-    len_max = hi[b_idx] - lo[a_idx]
-    len_min = np.zeros_like(len_max)
-    inner = a_idx < b_idx
-    len_min[inner] = u[b_idx[inner] - 1] - u[a_idx[inner]]
-    return u, a_idx, b_idx, len_min, len_max
+    best = 0.0
+    rows = max(1, CHUNK_FLOATS // cum.shape[1])
+    for start in range(0, a1.size, rows):
+        sl = slice(start, start + rows)
+        mass = (cum[b1[sl]] - cum[a1[sl]]) / n
+        for c in c1:
+            c = c[sl, None]
+            for b_cols, hi, a_cols, lo in ends2:
+                f = mass[:, b_cols] - c * hi
+                g = mass[:, a_cols] - c * lo
+                best = max(
+                    best,
+                    float((f - np.minimum.accumulate(g, axis=1)).max()),
+                    float((np.maximum.accumulate(g, axis=1) - f).max()),
+                )
+    return best
+
+
+def _cum_counts(r1, r2, m1, m2, mults) -> np.ndarray:
+    """cum[i, j] = mass of the points with rank r1 < i and r2 < j."""
+    hist = np.zeros((m1 + 1, m2 + 1))
+    np.add.at(hist, (r1 + 1, r2 + 1), mults)
+    return hist.cumsum(axis=0).cumsum(axis=1)
 
 
 def _angle_exact_2d(args: np.ndarray, mults: np.ndarray) -> float:
-    n = int(mults.sum())
-    u1, a1, b1, min1, max1 = _axis_cuts(args[:, 0])
-    u2, a2, b2, min2, max2 = _axis_cuts(args[:, 1])
-    r1 = np.searchsorted(u1, args[:, 0])
-    r2 = np.searchsorted(u2, args[:, 1])
-    hist = np.zeros((u1.size + 1, u2.size + 1))
-    np.add.at(hist, (r1 + 1, r2 + 1), mults)
-    cum = hist.cumsum(axis=0).cumsum(axis=1)
+    """Exact 2d supremum, O(N^3).
 
-    best = 0.0
+    Per axis, with u the sorted unique arguments (m of them), a cut pair
+    (a, b), 0 <= a <= b <= m, selects the points of rank in [a, b).  The
+    realizable side lengths for that content range between
+    len_min = u[b-1] - u[a] (both boundaries pinched onto data points via
+    limit variants; 0 when a == b) and len_max = hi[b] - lo[a] with
+    lo = (-pi, u...) and hi = (u..., pi).  The supremum is attained at one
+    of the four length combinations.
+    """
+    n = int(mults.sum())
+    u1 = np.unique(args[:, 0])
+    u2 = np.unique(args[:, 1])
+    m1, m2 = u1.size, u2.size
+    cum = _cum_counts(
+        np.searchsorted(u1, args[:, 0]), np.searchsorted(u2, args[:, 1]), m1, m2, mults
+    )
+    a1, b1 = np.nonzero(np.triu(np.ones((m1 + 1, m1 + 1), dtype=bool)))
+    lo1 = np.concatenate(([-np.pi], u1))
+    hi1 = np.concatenate((u1, [np.pi]))
+    min1 = np.zeros(a1.size)
+    inner = a1 < b1
+    min1[inner] = u1[b1[inner] - 1] - u1[a1[inner]]
     four_pi2 = 4 * np.pi**2
-    marg = cum[b1, :] - cum[a1, :]  # (pairs1, len(u2)+1) slab sums
-    chunk = max(1, int(2**20 // max(a2.size, 1)))
-    for start in range(0, a1.size, chunk):
-        sl = slice(start, min(start + chunk, a1.size))
-        e = (marg[sl][:, b2] - marg[sl][:, a2]) / n
-        for l1 in (min1[sl], max1[sl]):
-            for l2 in (min2, max2):
-                vol = np.outer(l1, l2) / four_pi2
-                cand = np.abs(e - vol).max()
-                if cand > best:
-                    best = float(cand)
-    return best
+    c1 = [min1 / four_pi2, (hi1[b1] - lo1[a1]) / four_pi2]
+    lo2 = np.concatenate(([-np.pi], u2))
+    hi2 = np.concatenate((u2, [np.pi]))
+    ends2 = [
+        (slice(None), hi2, slice(None), lo2),  # len_max over a <= b
+        (slice(1, None), u2, slice(None, -1), u2),  # len_min: b - 1 >= a
+    ]
+    return _box_scan(cum, n, a1, b1, c1, ends2)
 
 
 def _angle_grid_2d(args: np.ndarray, mults: np.ndarray, grid: int) -> float:
@@ -143,30 +175,20 @@ def _angle_grid_2d(args: np.ndarray, mults: np.ndarray, grid: int) -> float:
     # points exactly on a boundary belong to the lower bin ((alpha, beta])
     idx = np.ceil((args + np.pi) * grid / (2 * np.pi)).astype(int) - 1
     idx = np.clip(idx, 0, grid - 1)
-    hist = np.zeros((grid + 1, grid + 1))
-    np.add.at(hist, (idx[:, 0] + 1, idx[:, 1] + 1), mults)
-    cum = hist.cumsum(axis=0).cumsum(axis=1)
-    a_idx, b_idx = np.nonzero(np.triu(np.ones((grid + 1, grid + 1), dtype=bool), 1))
-    widths = (b_idx - a_idx) / grid
-    best = 0.0
-    marg = cum[b_idx, :] - cum[a_idx, :]  # (pairs, grid+1) slab sums
-    chunk = max(1, int(2**20 // max(a_idx.size, 1)))
-    for start in range(0, a_idx.size, chunk):
-        sl = slice(start, min(start + chunk, a_idx.size))
-        e = (marg[sl][:, b_idx] - marg[sl][:, a_idx]) / n
-        vol = np.outer(widths[sl], widths)
-        cand = np.abs(e - vol).max()
-        if cand > best:
-            best = float(cand)
-    return best
+    cum = _cum_counts(idx[:, 0], idx[:, 1], grid, grid, mults)
+    a1, b1 = np.nonzero(np.triu(np.ones((grid + 1, grid + 1), dtype=bool), 1))
+    edges = np.arange(grid + 1) / grid
+    ends2 = [(slice(None), edges, slice(None), edges)]
+    return _box_scan(cum, n, a1, b1, [(b1 - a1) / grid], ends2)
 
 
 def angle_discrepancy(cycle: ZeroCycle, mode: str = "exact", grid: int = 64) -> float:
     """Sup over argument boxes of |empirical mass - Haar mass|.
 
-    mode="exact" returns the true supremum (1d always; 2d up to
-    EXACT_MODE_POINT_CAP points).  mode="grid" restricts box boundaries to
-    `grid` equispaced breakpoints per axis and certifies a lower bound.
+    mode="exact" returns the true supremum (1d always, O(N log N); 2d in
+    O(N^3) up to EXACT_MODE_POINT_CAP points).  mode="grid" restricts box
+    boundaries to `grid` equispaced breakpoints per axis, costs O(G^3) in
+    2d and certifies a lower bound.
     """
     if cycle.degree < 1:
         raise DiscrepancyError("angle discrepancy of an empty cycle")
@@ -480,19 +502,3 @@ def expected_measure_estimate(cycles, d: int, box: PolarBox):
         if c is not None:
             total += box_count(c, box)
     return total / (len(cycles) * d**n), box.haar_mass()
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    delta_ang: float
-    mode: str  # "exact" or "grid(G)"; grid values are lower bounds
-    delta_rad: tuple  # ((eps, value), ...)
-    box_counts: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_ang": self.delta_ang,
-            "mode": self.mode,
-            "delta_rad": {str(e): v for e, v in self.delta_rad},
-            "box_counts": list(self.box_counts),
-        }

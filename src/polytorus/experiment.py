@@ -345,6 +345,15 @@ def _run_trial_tuple(args):
     return run_trial(*args)
 
 
+def _trial_results(jobs, parallelism: int):
+    """Trial results in job order, each yielded as soon as it is ready."""
+    if parallelism > 1:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            yield from pool.map(_run_trial_tuple, jobs, chunksize=8)
+    else:
+        yield from map(_run_trial_tuple, jobs)
+
+
 @dataclass
 class DegreeSummary:
     d: int
@@ -512,13 +521,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 )
                 for t in range(config.trials_per_degree)
             ]
-            if config.parallelism > 1:
-                with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-                    results = pool.map(_run_trial_tuple, jobs, chunksize=8)
-                    results = list(results)
-            else:
-                results = [_run_trial_tuple(j) for j in jobs]
-            for (rec, tms, ah, mh), job in zip(results, jobs):
+            for rec, tms, ah, mh in _trial_results(jobs, config.parallelism):
                 records.append(rec)
                 timings.append((d, rec.trial, tms))
                 arg_total = ah if arg_total is None else arg_total + ah

@@ -352,17 +352,35 @@ def system_to_dict(polys, n: int, d: int, seed=None, trial=None) -> dict:
 
 
 def system_from_dict(obj: dict):
-    """Returns (n, d, seed, trial, polys).  Inverse of system_to_dict."""
-    n = int(obj["n"])
-    d = int(obj["d"])
-    seed = obj.get("seed")
-    trial = obj.get("trial")
-    polys = []
-    for rows in obj["polys"]:
-        polys.append(
-            IntPolynomial.from_dict(n, {tuple(exp): c for exp, c in rows})
-        )
-    return n, d, seed, trial, tuple(polys)
+    """Returns (n, d, seed, trial, polys).  Inverse of system_to_dict.
+
+    The input is taken as written: a coefficient or exponent that is not
+    an integer, or a polynomial count other than n, raises PolynomialError
+    instead of being coerced.
+    """
+    try:
+        n, d, rows_list = obj["n"], obj["d"], obj["polys"]
+        if type(n) is not int or type(d) is not int:  # bool is not taken
+            raise PolynomialError("n and d must be integers")
+        if len(rows_list) != n:
+            raise PolynomialError(
+                f"system file has {len(rows_list)} polynomials for n={n}"
+            )
+        polys = []
+        for rows in rows_list:
+            coeffs = {}
+            for exp, c in rows:
+                if not all(type(v) is int for v in (c, *exp)):
+                    raise PolynomialError(
+                        f"non-integer term {[exp, c]!r} in system file"
+                    )
+                coeffs[tuple(exp)] = c
+            polys.append(IntPolynomial.from_dict(n, coeffs))
+    except PolynomialError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PolynomialError(f"malformed system file: {exc!r}") from exc
+    return n, d, obj.get("seed"), obj.get("trial"), tuple(polys)
 
 
 def bernoulli_system_to_dict(system: BernoulliSystem) -> dict:

@@ -361,14 +361,6 @@ def _poly_rows_at(f: IntPolynomial, var: int, value: complex) -> np.ndarray:
     return out
 
 
-def _eval_bivariate(f: IntPolynomial, x: complex, y: complex) -> complex:
-    row = _poly_rows_at(f, 0, y)
-    acc = 0j
-    for c in row[::-1]:
-        acc = acc * x + c
-    return acc
-
-
 def _scaled_residual(polys, sups, degs, x: complex, y: complex) -> float:
     """max_i |f_i(x, y)| / (sup_i * s^deg_i) with s = max(1, |x|, |y|).
 

@@ -124,3 +124,43 @@ def test_non_isolated_exit_code(tmp_path, capsys):
 def test_classify_missing_args(capsys):
     rc = main(["classify"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "polys",
+    [
+        [[[[0], 1.7], [[2], -1]]],  # non-integer coefficient
+        [[[[0.5], 1], [[2], -1]]],  # non-integer exponent
+        [[[[0], 1], [[2], -1]], [[[0], 1], [[1], 1]]],  # two polynomials for n=1
+        [[[0], 1]],  # a term that is not an (exponent, coefficient) pair
+    ],
+)
+def test_classify_rejects_bad_system_file(tmp_path, capsys, polys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 1, "d": 2, "polys": polys}))
+    rc = main(["classify", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_violation_dump_goes_to_run_dir(tmp_path, monkeypatch, capsys):
+    import polytorus.cli as cli
+    from polytorus.experiment import BoundViolationError
+
+    def violate(cfg):
+        raise BoundViolationError("delta_ang exceeds bound", {"trial": 3}, {"n": 2})
+
+    monkeypatch.setattr(cli, "run_experiment", violate)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    run = tmp_path / "run"
+    rc = main(["experiment", "--n", "2", "--d", "2", "--trials", "1",
+               "--angle-mode", "grid", "--out", str(run)])
+    assert rc == 3
+    dump = json.loads((run / "violation_dump.json").read_text())
+    assert dump["record"] == {"trial": 3}
+    assert not (cwd / "violation_dump.json").exists()
+    assert str(run) in capsys.readouterr().err

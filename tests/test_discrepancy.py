@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytorus.discrepancy import (
+    EXACT_MODE_POINT_CAP,
     DiscrepancyError,
     ExactModeTooLarge,
     PolarBox,
@@ -225,10 +226,97 @@ def test_angle_exact_2d_matches_brute_force():
 
 
 def test_angle_exact_2d_cap():
-    pts = [(1, 1)] * 201
+    pts = [(1, 1)] * (EXACT_MODE_POINT_CAP + 1)
     c = cycle_from_points(pts, dim=2)
     with pytest.raises(ExactModeTooLarge):
         angle_discrepancy(c)
+
+
+def test_angle_exact_2d_accepts_cap():
+    c = cycle_from_points([(1, 1)] * EXACT_MODE_POINT_CAP, dim=2)
+    # all mass on one point: a box pinched onto it has mass 1 and area 0
+    assert angle_discrepancy(c) == pytest.approx(1.0)
+
+
+# Reference kernels: every pair of axis-1 cuts against every pair of
+# axis-2 cuts, O(N^4) and O(G^4).  The scan in polytorus must agree.
+
+
+def _quartic_axis_cuts(vals):
+    u = np.unique(vals)
+    m = u.size
+    a_idx, b_idx = np.nonzero(np.triu(np.ones((m + 1, m + 1), dtype=bool)))
+    lo = np.concatenate(([-np.pi], u))
+    hi = np.concatenate((u, [np.pi]))
+    len_max = hi[b_idx] - lo[a_idx]
+    len_min = np.zeros_like(len_max)
+    inner = a_idx < b_idx
+    len_min[inner] = u[b_idx[inner] - 1] - u[a_idx[inner]]
+    return u, a_idx, b_idx, len_min, len_max
+
+
+def _quartic_exact_2d(args):
+    n = args.shape[0]
+    u1, a1, b1, min1, max1 = _quartic_axis_cuts(args[:, 0])
+    u2, a2, b2, min2, max2 = _quartic_axis_cuts(args[:, 1])
+    hist = np.zeros((u1.size + 1, u2.size + 1))
+    r1 = np.searchsorted(u1, args[:, 0])
+    r2 = np.searchsorted(u2, args[:, 1])
+    np.add.at(hist, (r1 + 1, r2 + 1), 1)
+    cum = hist.cumsum(axis=0).cumsum(axis=1)
+    marg = cum[b1, :] - cum[a1, :]
+    e = (marg[:, b2] - marg[:, a2]) / n
+    best = 0.0
+    for l1 in (min1, max1):
+        for l2 in (min2, max2):
+            vol = np.outer(l1, l2) / (4 * np.pi**2)
+            best = max(best, float(np.abs(e - vol).max()))
+    return best
+
+
+def _quartic_grid_2d(args, grid):
+    n = args.shape[0]
+    idx = np.ceil((args + np.pi) * grid / (2 * np.pi)).astype(int) - 1
+    idx = np.clip(idx, 0, grid - 1)
+    hist = np.zeros((grid + 1, grid + 1))
+    np.add.at(hist, (idx[:, 0] + 1, idx[:, 1] + 1), 1)
+    cum = hist.cumsum(axis=0).cumsum(axis=1)
+    a_idx, b_idx = np.nonzero(np.triu(np.ones((grid + 1, grid + 1), dtype=bool), 1))
+    widths = (b_idx - a_idx) / grid
+    marg = cum[b_idx, :] - cum[a_idx, :]
+    e = (marg[:, b_idx] - marg[:, a_idx]) / n
+    return float(np.abs(e - np.outer(widths, widths)).max())
+
+
+def _oracle_inputs(seed, count):
+    """Random argument pairs with ties, points at +-pi and diagonals."""
+    rng = random.Random(seed)
+    specials = [0.0, 1.0, -2.0, math.pi, -math.pi]
+    for _ in range(count):
+        pts = []
+        for _ in range(rng.randint(1, 40)):
+            t1 = rng.choice([rng.uniform(-math.pi, math.pi)] * 3 + specials)
+            t2 = rng.choice([rng.uniform(-math.pi, math.pi)] * 2 + [t1] + specials)
+            # complex(-1, -0.0) has argument -pi, folded onto pi
+            pts.append(tuple(complex(-1.0, -0.0) if t == -math.pi else cmath.exp(1j * t)
+                             for t in (t1, t2)))
+        yield pts
+
+
+def test_angle_exact_2d_matches_quartic_reference():
+    for pts in _oracle_inputs(2024, 60):
+        args = np.array(_canonical_args(pts))
+        mine = angle_discrepancy(cycle_from_points(pts, dim=2))
+        assert mine == pytest.approx(_quartic_exact_2d(args), abs=1e-12)
+
+
+def test_angle_grid_2d_matches_quartic_reference():
+    rng = random.Random(5)
+    for pts in _oracle_inputs(77, 60):
+        grid = rng.choice([2, 3, 8, 16, 33])
+        args = np.array(_canonical_args(pts))
+        mine = angle_discrepancy(cycle_from_points(pts, dim=2), "grid", grid)
+        assert mine == pytest.approx(_quartic_grid_2d(args, grid), abs=1e-12)
 
 
 def test_angle_2d_near_uniform_grid_is_small():

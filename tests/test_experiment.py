@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from polytorus.discrepancy import PolarBox
+import polytorus.experiment as experiment
+from polytorus.discrepancy import EXACT_MODE_POINT_CAP, PolarBox
 from polytorus.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -60,7 +61,12 @@ def test_config_rejects_bad_values(tmp_path):
     with pytest.raises(ConfigError):
         tiny_config(tmp_path, n=3)
     with pytest.raises(ConfigError):
-        tiny_config(tmp_path, angle_mode="exact", degrees=[15, 16])
+        tiny_config(tmp_path, angle_mode="exact", degrees=[21])
+
+
+def test_config_exact_mode_cap_allows_d20(tmp_path):
+    cfg = tiny_config(tmp_path, angle_mode="exact", degrees=[20])
+    assert max(cfg.degrees) ** 2 == EXACT_MODE_POINT_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -236,3 +242,19 @@ def test_histogram_totals(tmp_path):
         # each solved trial contributes d^2 zeros x 2 coordinates
         assert sum(row.arg_hist) == solved * d**2 * 2
         assert sum(row.mod_hist) == solved * d**2 * 2
+
+
+def test_records_reach_disk_before_a_trial_fails(tmp_path, monkeypatch):
+    real = experiment._run_trial_tuple
+
+    def failing(job):
+        if job[2] == 3:
+            raise RuntimeError("trial 3 fails")
+        return real(job)
+
+    monkeypatch.setattr(experiment, "_run_trial_tuple", failing)
+    cfg = tiny_config(tmp_path, degrees=[2])
+    with pytest.raises(RuntimeError, match="trial 3 fails"):
+        run_experiment(cfg)
+    lines = (tmp_path / "run" / "trials_n2_d2.jsonl").read_text().splitlines()
+    assert [json.loads(line)["trial"] for line in lines] == [0, 1, 2]
