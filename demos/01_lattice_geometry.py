@@ -53,10 +53,15 @@ for v in facet_normals(simplex):
     print(f"  v={v}: support value {support_value(simplex, v)}, "
           f"{len(f.points)} lattice points on the face")
 
-# Everything stays rational: a degenerate (flat) hull has volume 0 and a
-# 3d example evaluates through exact tetrahedral fans.
-flat = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-box = convex_hull([(x, y, z) for x in (0, 1) for y in (0, 2) for z in (0, 3)])
-print("\nflat 3d hull volume:", volume(flat))
-print("box volume:", volume(box), "of type", type(volume(box)).__name__)
-assert volume(box) == Fraction(6)
+# Everything stays rational.  A degenerate (flat) hull keeps only its two
+# end points and has area 0, yet two flat hulls that are not parallel
+# still have a positive mixed volume: |det| of their directions.
+flat = convex_hull([(0, 0), (1, 1), (3, 3)])
+other = convex_hull([(0, 0), (2, -1)])
+print("\nflat hull vertices:", flat.vertices, "rank", flat.rank, "area", volume(flat))
+print("MV(flat, other) =", mixed_volume([flat, other]), "(= |det((3,3),(2,-1))| = 9)")
+rect = convex_hull([(x, y) for x in range(2) for y in range(4)])
+print("rectangle area:", volume(rect), "of type", type(volume(rect)).__name__)
+assert volume(flat) == 0
+assert mixed_volume([flat, other]) == 9
+assert volume(rect) == Fraction(3)

@@ -15,7 +15,6 @@ from .discrepancy import (
     discrepancy_bounds,
     erdos_turan_size,
     eta_upper_bound,
-    expected_measure_estimate,
     radius_discrepancy,
 )
 from .experiment import (
@@ -48,7 +47,6 @@ from .polynomials import (
     evaluate,
     homogenize,
     sample_bernoulli_system,
-    sup_norm_grid,
     sup_norm_upper,
     support,
     system_from_dict,
@@ -63,10 +61,8 @@ from .resultants import (
     sylvester_matrix,
 )
 from .solver import (
-    CountVerdict,
     SolveDiagnostics,
     ZeroCycle,
-    count_check,
     roots_univariate,
     solve_bivariate,
     solve_univariate_cycle,

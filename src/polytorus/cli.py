@@ -38,7 +38,11 @@ from .polynomials import (
     system_from_dict,
     system_to_dict,
 )
-from .resultants import classify_exceptional
+from .resultants import (
+    DegenerateSystemError,
+    UnsupportedDimensionError,
+    classify_exceptional,
+)
 from .solver import NonIsolatedError, solve_bivariate, solve_univariate_cycle
 
 EXIT_OK = 0
@@ -270,7 +274,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PolynomialError, DiscrepancyError, ExactModeTooLarge) as exc:
+    except (
+        ConfigError,
+        PolynomialError,
+        DiscrepancyError,
+        ExactModeTooLarge,
+        UnsupportedDimensionError,
+        DegenerateSystemError,
+    ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BoundViolationError as exc:

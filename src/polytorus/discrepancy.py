@@ -18,10 +18,14 @@ normals v of their Minkowski sum, and D_{w,i} the length of the
 projection of the other support polytope onto the line orthogonal to w
 (n=2) or 1 (n=1, where the formula collapses to the classical
 Erdos-Turan quantity).  Sup norms enter through the certified upper
-estimate by default, which makes eta an over-estimate; discrepancies are
+estimate sum |a_J|, which makes eta an over-estimate; discrepancies are
 computed as under-estimates (or exact), so every bound inequality
 verified downstream is implied by the corresponding theorem and any
 violation is a genuine bug.
+
+Polar boxes count the zeros of a cycle in a product of radial intervals
+and arcs; the experiment harness turns these counts into box-probe
+estimates of the expected zero measure.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import mixed_volume
-from .polynomials import newton_polytope, sup_norm_grid, sup_norm_upper
+from .polynomials import newton_polytope, sup_norm_upper
 from .resultants import DirectionalReport, classify_exceptional
 from .solver import ZeroCycle
 
@@ -245,7 +249,6 @@ class EtaReport:
     mixed_volume: int
     per_normal: tuple  # ((v, log|Res_v|), ...)
     dw_at_argmax: tuple
-    sup_mode: str
     sup_log_values: tuple
     eta_upper: float
     infinite: bool = False
@@ -259,35 +262,26 @@ class EtaReport:
                 [",".join(str(c) for c in v), lv] for v, lv in self.per_normal
             ],
             "dw_at_argmax": list(self.dw_at_argmax),
-            "sup_mode": self.sup_mode,
             "eta_upper": self.eta_upper,
             "infinite": self.infinite,
         }
 
 
-def _sup_logs(polys, sup_mode: str, grid: int):
-    logs = []
-    for f in polys:
-        if sup_mode == "upper":
-            logs.append(_log_abs_big(sup_norm_upper(f)))
-        elif sup_mode == "grid":
-            logs.append(math.log(sup_norm_grid(f, grid)))
-        else:
-            raise DiscrepancyError(f"unknown sup norm mode {sup_mode!r}")
-    return logs
+ETA_ANGLES = 4096  # equispaced directions w added to the critical ones
 
 
-def eta_upper_bound(polys, sup_mode: str = "upper", grid: int = 256) -> float:
-    """The (n + sqrt n) (prod d_i) sum_i log||f_i|| / d_i bound over D."""
-    polys = tuple(polys.polys) if hasattr(polys, "polys") else tuple(polys)
-    n = polys[0].nvars
+def _sup_logs(polys):
+    """log of the certified sup-norm over-estimate sum |a_J| of each f_i."""
+    return [_log_abs_big(sup_norm_upper(f)) for f in polys]
+
+
+def _eta_bound(polys, logs, d_mv) -> float:
     degs = [f.degree for f in polys]
     if any(d < 1 for d in degs):
         raise DiscrepancyError("eta bound needs degrees >= 1")
-    d_mv = mixed_volume([newton_polytope(f) for f in polys])
     if d_mv < 1:
         raise DiscrepancyError("mixed volume of the supports must be >= 1")
-    logs = _sup_logs(polys, sup_mode, grid)
+    n = polys[0].nvars
     prod_d = 1
     for d in degs:
         prod_d *= d
@@ -295,13 +289,14 @@ def eta_upper_bound(polys, sup_mode: str = "upper", grid: int = 256) -> float:
     return float((n + math.sqrt(n)) * prod_d * total / d_mv)
 
 
-def erdos_turan_size(
-    system,
-    sup_mode: str = "upper",
-    report: DirectionalReport = None,
-    n_angles: int = 4096,
-    grid: int = 256,
-) -> EtaReport:
+def eta_upper_bound(polys) -> float:
+    """The (n + sqrt n) (prod d_i) sum_i log||f_i|| / d_i bound over D."""
+    polys = tuple(polys.polys) if hasattr(polys, "polys") else tuple(polys)
+    d_mv = mixed_volume([newton_polytope(f) for f in polys])
+    return _eta_bound(polys, _sup_logs(polys), d_mv)
+
+
+def erdos_turan_size(system, report: DirectionalReport = None) -> EtaReport:
     """Erdos-Turan size of a system (n in {1, 2}).
 
     Directional resultants are taken from `report` when given (so a
@@ -314,12 +309,10 @@ def erdos_turan_size(
         raise DiscrepancyError("eta implemented for n in {1, 2}")
     if report is None:
         report = classify_exceptional(polys)
-    logs = _sup_logs(polys, sup_mode, grid)
+    logs = _sup_logs(polys)
     hulls = [newton_polytope(f) for f in polys]
     d_mv = int(mixed_volume(hulls))
-    if d_mv < 1:
-        raise DiscrepancyError("mixed volume of the supports must be >= 1")
-    upper = eta_upper_bound(polys, sup_mode, grid)
+    upper = _eta_bound(polys, logs, d_mv)
     if any(e.value == 0 for e in report.entries):
         return EtaReport(
             eta=math.inf,
@@ -327,7 +320,6 @@ def erdos_turan_size(
             mixed_volume=d_mv,
             per_normal=tuple((e.normal, -math.inf) for e in report.entries),
             dw_at_argmax=(),
-            sup_mode=sup_mode,
             sup_log_values=tuple(logs),
             eta_upper=upper,
             infinite=True,
@@ -344,13 +336,12 @@ def erdos_turan_size(
             mixed_volume=d_mv,
             per_normal=per_normal,
             dw_at_argmax=(1.0,),
-            sup_mode=sup_mode,
             sup_log_values=tuple(logs),
             eta_upper=upper,
         )
 
     verts = [np.array(h.vertices, dtype=float) for h in hulls]
-    thetas = [np.linspace(-np.pi, np.pi, n_angles, endpoint=False)]
+    thetas = [np.linspace(-np.pi, np.pi, ETA_ANGLES, endpoint=False)]
     for v in verts:
         cyc = np.vstack([v, v[:1]])
         edges = np.diff(cyc, axis=0)
@@ -381,7 +372,6 @@ def erdos_turan_size(
         mixed_volume=d_mv,
         per_normal=per_normal,
         dw_at_argmax=(float(proj_len[1][k]), float(proj_len[0][k])),
-        sup_mode=sup_mode,
         sup_log_values=tuple(logs),
         eta_upper=upper,
     )
@@ -409,7 +399,7 @@ def discrepancy_bounds(eta: float, n: int, eps: float):
 
 
 # ---------------------------------------------------------------------------
-# polar boxes and the expected measure estimate
+# polar boxes
 
 
 @dataclass(frozen=True)
@@ -483,22 +473,3 @@ def box_count(cycle: ZeroCycle, box: PolarBox) -> int:
     if box.dim != cycle.dim:
         raise DiscrepancyError("box dimension does not match the cycle")
     return sum(p.mult for p in cycle.points if box.contains(p.coords))
-
-
-def expected_measure_estimate(cycles, d: int, box: PolarBox):
-    """Monte Carlo estimate of the normalized expected zero measure of a box.
-
-    `cycles` holds one entry per trial, None for exceptional trials (the
-    convention assigns them the zero measure, so they contribute 0 to the
-    sum but still count in the trial total).  Returns (estimate,
-    haar_mass).
-    """
-    cycles = list(cycles)
-    if not cycles:
-        raise DiscrepancyError("no trials")
-    n = box.dim
-    total = 0
-    for c in cycles:
-        if c is not None:
-            total += box_count(c, box)
-    return total / (len(cycles) * d**n), box.haar_mass()

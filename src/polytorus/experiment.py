@@ -24,7 +24,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -187,30 +187,7 @@ class TrialRecord:
     violations: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "trial": self.trial,
-            "seed": self.seed,
-            "exceptional": self.exceptional,
-            "res_v": self.res_v,
-            "zero_coord": self.zero_coord,
-            "count_expected": self.count_expected,
-            "count_found": self.count_found,
-            "delta_ang": self.delta_ang,
-            "delta_ang_mode": self.delta_ang_mode,
-            "delta_rad": self.delta_rad,
-            "convention_delta": self.convention_delta,
-            "eta": self.eta,
-            "eta_upper": self.eta_upper,
-            "b_ang": self.b_ang,
-            "b_rad": self.b_rad,
-            "box_counts": self.box_counts,
-            "max_residual": self.max_residual,
-            "count_mismatches": self.count_mismatches,
-            "dropped": self.dropped,
-            "violations": self.violations,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TrialRecord":
@@ -297,7 +274,7 @@ def run_trial(
     record.delta_rad = {
         repr(e): radius_discrepancy(cycle, e) for e in epsilons
     }
-    eta_rep = erdos_turan_size(system, sup_mode="upper", report=report)
+    eta_rep = erdos_turan_size(system, report=report)
     record.eta = eta_rep.eta
     record.eta_upper = eta_rep.eta_upper
     violations = []
@@ -376,23 +353,8 @@ class DegreeSummary:
         return self.exceptional / self.trials
 
     def to_dict(self) -> dict:
-        out = {
-            "d": self.d,
-            "trials": self.trials,
-            "exceptional": self.exceptional,
-            "exceptional_rate": self.exceptional_rate,
-            "mean_delta_ang": self.mean_delta_ang,
-            "median_delta_ang": self.median_delta_ang,
-            "mean_delta_ang_convention": self.mean_delta_ang_convention,
-            "mean_delta_rad": self.mean_delta_rad,
-            "mean_eta": self.mean_eta,
-            "violations": self.violations,
-            "count_mismatches": self.count_mismatches,
-            "box_estimates": self.box_estimates,
-            "box_haar": self.box_haar,
-            "arg_hist": self.arg_hist,
-            "mod_hist": self.mod_hist,
-        }
+        out = asdict(self)
+        out["exceptional_rate"] = self.exceptional_rate
         # flatness sanity for the argument histogram (max bin over min bin)
         if self.arg_hist and min(self.arg_hist) > 0:
             out["arg_hist_flatness"] = max(self.arg_hist) / min(self.arg_hist)

@@ -1,9 +1,10 @@
 """Exact convex geometry over the integer lattice.
 
-Polytopes are convex hulls of finite integer point sets in dimension 1, 2
-or 3.  Everything here is computed with exact integer (or Fraction)
-arithmetic: hulls by monotone chain (2d) and gift wrapping (3d), volumes
-by shoelace / tetrahedral fans, mixed volumes by the polarization formula
+Polytopes are convex hulls of finite integer point sets in dimension 1
+or 2, the dimensions the exact pipeline handles.  Everything here is
+computed with exact integer (or Fraction) arithmetic: hulls by monotone
+chain, areas by the shoelace formula, mixed volumes by the polarization
+formula
 
     MV_n(Q_1, ..., Q_n) = sum_{S nonempty subset of {1..n}}
                           (-1)^(n - |S|) Vol_n(sum_{i in S} Q_i).
@@ -15,7 +16,6 @@ so facet normals returned by this module point inward.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,8 +49,8 @@ def _check_points(points):
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise GeometryError("points have mixed dimensions")
-    if n < 1 or n > 3:
-        raise GeometryError(f"ambient dimension {n} unsupported (need 1..3)")
+    if n not in (1, 2):
+        raise GeometryError(f"ambient dimension {n} unsupported (need 1 or 2)")
     return n, sorted(set(pts))
 
 
@@ -59,7 +59,7 @@ def affine_rank(points) -> int:
     pts = [tuple(p) for p in points]
     base = pts[0]
     vecs = [tuple(c - b for c, b in zip(p, base)) for p in pts[1:]]
-    # integer Gaussian elimination, dimension <= 3 so this stays tiny
+    # integer Gaussian elimination, dimension <= 2 so this stays tiny
     rank = 0
     rows = [list(v) for v in vecs if any(v)]
     ncols = len(base)
@@ -149,163 +149,17 @@ def _hull2_cycle(pts):
     return lower[:-1] + upper[:-1]
 
 
-def _orient3(a, b, c, d):
-    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-    v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-    w = (d[0] - a[0], d[1] - a[1], d[2] - a[2])
-    return (
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - u[1] * (v[0] * w[2] - v[2] * w[0])
-        + u[2] * (v[0] * w[1] - v[1] * w[0])
-    )
-
-
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _project_axis(normal):
-    # drop the coordinate where |normal| is largest; injective on the plane
-    return max(range(3), key=lambda k: abs(normal[k]))
-
-
-def _facet_polygon(face_pts, normal):
-    """Cyclic vertex order of a planar facet, via an exact 2d hull."""
-    axis = _project_axis(normal)
-    keep = [k for k in range(3) if k != axis]
-    proj = {}
-    for p in face_pts:
-        proj[(p[keep[0]], p[keep[1]])] = p
-    cycle2 = _hull2_cycle(proj.keys())
-    return [proj[q] for q in cycle2]
-
-
-def _wrap_facet(pts, p, q):
-    """The supporting plane through hull edge (p, q) selected by orientation.
-
-    Returns (inward primitive normal, support value).  Single-pass pivot is
-    valid because (p, q) is a hull edge: in the quotient plane along the
-    edge all points sit inside a closed half-plane.
-    """
-    c = None
-    for t in pts:
-        if t == p or t == q:
-            continue
-        n = _cross3(_sub(q, p), _sub(t, p))
-        if any(n):
-            c = t
-            break
-    if c is None:
-        raise GeometryError("degenerate wrap: all points collinear with edge")
-    for t in pts:
-        if t == p or t == q or t == c:
-            continue
-        if _orient3(p, q, c, t) < 0:
-            c = t
-    normal = primitive_vector(_cross3(_sub(q, p), _sub(c, p)))
-    support = _dot(p, normal)
-    for t in pts:
-        if _dot(t, normal) < support:  # exactness tripwire, never expected
-            raise GeometryError("gift wrapping produced a non-supporting plane")
-    return normal, support
-
-
-def _hull3_facets(pts):
-    """All facets of a full-dimensional 3d hull.
-
-    Returns a list of (normal, support, polygon, face_points) with inward
-    primitive normals and polygons in cyclic order.
-    """
-    # bootstrap: a supporting vertical plane from an edge of the xy shadow
-    shadow = _hull2_cycle({(p[0], p[1]) for p in pts})
-    a2, b2 = shadow[0], shadow[1]
-    t2 = (b2[0] - a2[0], b2[1] - a2[1])
-    v0 = (-t2[1], t2[0], 0)  # left normal of the ccw shadow edge, inward
-    s0 = min(_dot(p, v0) for p in pts)
-    face0 = [p for p in pts if _dot(p, v0) == s0]
-    start_edges = []
-    if affine_rank(face0) == 2:
-        normal = primitive_vector(v0)
-        support = min(_dot(p, normal) for p in pts)
-        poly = _facet_polygon(face0, normal)
-        first = (normal, support, poly, tuple(sorted(face0)))
-    else:
-        # vertical face is just an edge; wrap it to get a first facet
-        direction = _sub(face0[-1], face0[0])
-        keyed = sorted(face0, key=lambda p: _dot(p, direction))
-        e0, e1 = keyed[0], keyed[-1]
-        normal, support = _wrap_facet(pts, e0, e1)
-        fpts = [p for p in pts if _dot(p, normal) == support]
-        poly = _facet_polygon(fpts, normal)
-        first = (normal, support, poly, tuple(sorted(fpts)))
-
-    facets = {(first[0], first[1]): first}
-    queue = deque()
-    seen_edges = set()
-    for u, w in zip(first[2], first[2][1:] + first[2][:1]):
-        queue.append((u, w))
-        queue.append((w, u))
-    while queue:
-        p, q = queue.popleft()
-        if (p, q) in seen_edges:
-            continue
-        seen_edges.add((p, q))
-        normal, support = _wrap_facet(pts, p, q)
-        key = (normal, support)
-        if key in facets:
-            continue
-        fpts = [t for t in pts if _dot(t, normal) == support]
-        poly = _facet_polygon(fpts, normal)
-        facets[key] = (normal, support, poly, tuple(sorted(fpts)))
-        for u, w in zip(poly, poly[1:] + poly[:1]):
-            queue.append((u, w))
-            queue.append((w, u))
-    return list(facets.values())
-
-
-def _hull3_vertices(pts):
-    rank = affine_rank(pts)
-    if rank == 0:
-        return [pts[0]]
-    if rank == 1:
-        direction = next(
-            _sub(p, pts[0]) for p in pts if p != pts[0]
-        )
-        keyed = sorted(pts, key=lambda p: _dot(p, direction))
-        return sorted({keyed[0], keyed[-1]})
-    if rank == 2:
-        base = pts[0]
-        diffs = [_sub(p, base) for p in pts if p != base]
-        u = next(d for d in diffs if any(d))
-        w = next(d for d in diffs if any(_cross3(u, d)))
-        normal = _cross3(u, w)
-        axis = _project_axis(normal)
-        keep = [k for k in range(3) if k != axis]
-        proj = {(p[keep[0]], p[keep[1]]): p for p in pts}
-        return sorted(proj[q] for q in _hull2_cycle(proj.keys()))
-    verts = set()
-    for _, _, poly, _ in _hull3_facets(pts):
-        verts.update(poly)
-    return sorted(verts)
-
-
 def convex_hull(points) -> LatticePolytope:
-    """Exact convex hull of a finite integer point set (dimension 1..3)."""
+    """Exact convex hull of a finite integer point set (dimension 1 or 2)."""
     n, pts = _check_points(points)
     if n == 1:
         verts = sorted({pts[0], pts[-1]})
-    elif n == 2:
-        verts = sorted(_hull2_cycle(pts))
     else:
-        verts = _hull3_vertices(pts)
+        verts = sorted(_hull2_cycle(pts))
     return LatticePolytope(n, tuple(pts), tuple(verts))
 
 
@@ -331,24 +185,11 @@ def volume(p: LatticePolytope) -> Fraction:
         return Fraction(0)
     if p.dim == 1:
         return Fraction(p.vertices[-1][0] - p.vertices[0][0])
-    if p.dim == 2:
-        cycle = _hull2_cycle(p.vertices)
-        s = 0
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            s += a[0] * b[1] - b[0] * a[1]
-        return Fraction(abs(s), 2)
-    facets = _hull3_facets(list(p.vertices))
-    origin = p.vertices[0]
-    total = 0
-    for normal, support, poly, _ in facets:
-        if _dot(origin, normal) == support:
-            continue
-        anchor = poly[0]
-        acc = 0
-        for i in range(1, len(poly) - 1):
-            acc += _orient3(origin, anchor, poly[i], poly[i + 1])
-        total += abs(acc)
-    return Fraction(total, 6)
+    cycle = _hull2_cycle(p.vertices)
+    s = 0
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        s += a[0] * b[1] - b[0] * a[1]
+    return Fraction(abs(s), 2)
 
 
 def mixed_volume(qs) -> Fraction:
@@ -406,14 +247,12 @@ def facet_normals(p: LatticePolytope):
         raise GeometryError("facet normals need a full-dimensional polytope")
     if p.dim == 1:
         return [(-1,), (1,)]
-    if p.dim == 2:
-        cycle = _hull2_cycle(p.vertices)
-        normals = set()
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            t = _sub(b, a)
-            normals.add(primitive_vector((-t[1], t[0])))
-        return sorted(normals)
-    return sorted({f[0] for f in _hull3_facets(list(p.vertices))})
+    cycle = _hull2_cycle(p.vertices)
+    normals = set()
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        t = _sub(b, a)
+        normals.add(primitive_vector((-t[1], t[0])))
+    return sorted(normals)
 
 
 def simplex_points(n: int, d: int):

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-import numpy as np
-
 from .lattice import convex_hull, primitive_vector, simplex_points
 
 
@@ -249,34 +247,12 @@ def restrict_to_zero(f: IntPolynomial, axis: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# sup norm estimates on the unit torus
+# sup norm bound on the unit torus
 
 
 def sup_norm_upper(f: IntPolynomial) -> int:
     """sum |a_J|, a certified upper bound for the sup norm on the torus."""
     return sum(abs(c) for _, c in f.terms)
-
-
-def sup_norm_grid(f: IntPolynomial, grid: int) -> float:
-    """Max |f| over the grid of G-th root-of-unity points, clamped to the
-    certified upper bound.  A lower estimate of the true sup norm."""
-    if grid < 8:
-        raise PolynomialError("grid size must be at least 8")
-    if f.is_zero:
-        return 0.0
-    if f.nvars == 1:
-        arr = np.zeros(grid, dtype=complex)
-        for (j,), c in f.terms:
-            arr[j % grid] += c
-        vals = np.fft.fft(arr)
-    elif f.nvars == 2:
-        arr = np.zeros((grid, grid), dtype=complex)
-        for (j1, j2), c in f.terms:
-            arr[j1 % grid, j2 % grid] += c
-        vals = np.fft.fft2(arr)
-    else:
-        raise PolynomialError("grid estimate implemented for <= 2 variables")
-    return min(float(np.max(np.abs(vals))), float(sup_norm_upper(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +331,16 @@ def system_from_dict(obj: dict):
     """Returns (n, d, seed, trial, polys).  Inverse of system_to_dict.
 
     The input is taken as written: a coefficient or exponent that is not
-    an integer, or a polynomial count other than n, raises PolynomialError
-    instead of being coerced.
+    an integer, a polynomial count other than n, a polynomial of total
+    degree below 1, or a d other than the largest total degree raises
+    PolynomialError instead of being coerced.
     """
     try:
         n, d, rows_list = obj["n"], obj["d"], obj["polys"]
         if type(n) is not int or type(d) is not int:  # bool is not taken
             raise PolynomialError("n and d must be integers")
+        if n < 1:
+            raise PolynomialError(f"system file has n={n}; need n >= 1")
         if len(rows_list) != n:
             raise PolynomialError(
                 f"system file has {len(rows_list)} polynomials for n={n}"
@@ -380,6 +359,16 @@ def system_from_dict(obj: dict):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise PolynomialError(f"malformed system file: {exc!r}") from exc
+    degrees = [f.degree for f in polys]
+    if min(degrees) < 1:
+        raise PolynomialError(
+            f"system file has a polynomial of total degree {min(degrees)}; "
+            "need degree >= 1"
+        )
+    if max(degrees) != d:
+        raise PolynomialError(
+            f"system file says d={d}, but its largest total degree is {max(degrees)}"
+        )
     return n, d, obj.get("seed"), obj.get("trial"), tuple(polys)
 
 

@@ -154,22 +154,19 @@ def _exact_div(a, d):
     return q
 
 
-def _resultant_prs(a, b) -> int:
-    """Resultant of two nonconstant integer polynomials, Sylvester sign."""
-    sign = 1
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        a, b = b, a
-        da, db = db, da
-        if da & 1 and db & 1:
-            sign = -sign
+def _subresultant_steps(a, b):
+    """The subresultant remainder sequence of a and b, deg a >= deg b >= 1.
+
+    One step pseudo-divides, then divides the remainder exactly by
+    g * h^delta, which keeps the coefficients small without fractions.
+    Yields (a, b, h) after each step: a is the divisor just used, b the
+    reduced remainder and h the updated scale.  Stops after the step
+    whose remainder is zero or constant.
+    """
     g = 1
     h = 1
     while True:
-        da, db = len(a) - 1, len(b) - 1
-        d = da - db
-        if da & 1 and db & 1:
-            sign = -sign
+        d = (len(a) - 1) - (len(b) - 1)
         r = _pseudo_rem(a, b)
         a = b
         denom = g * h**d
@@ -179,13 +176,29 @@ def _resultant_prs(a, b) -> int:
             h = g
         elif d > 1:
             h = _exact_div(g**d, h ** (d - 1))
-        if not b:
-            return 0  # nontrivial gcd, resultant vanishes
-        if len(b) == 1:
-            dA = len(a) - 1
-            if dA == 0:
-                return sign * b[0]
-            return sign * _exact_div(b[0] ** dA, h ** (dA - 1))
+        yield a, b, h
+        if len(b) <= 1:
+            return
+
+
+def _resultant_prs(a, b) -> int:
+    """Resultant of two nonconstant integer polynomials, Sylvester sign."""
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) & 1 and (len(b) - 1) & 1:
+            sign = -sign
+    da = len(a) - 1
+    for a, b, h in _subresultant_steps(a, b):
+        db = len(a) - 1  # the step divided degree da by degree db
+        if da & 1 and db & 1:
+            sign = -sign
+        da = db
+    if not b:
+        return 0  # nontrivial gcd, resultant vanishes
+    if da == 0:
+        return sign * b[0]
+    return sign * _exact_div(b[0] ** da, h ** (da - 1))
 
 
 def resultant_univariate(f, g) -> int:
@@ -275,23 +288,9 @@ def poly_gcd(a, b):
         a, b = b, a
     if len(b) == 1:
         return [1]
-    g = 1
-    h = 1
-    while True:
-        d = (len(a) - 1) - (len(b) - 1)
-        r = _pseudo_rem(a, b)
-        a = b
-        denom = g * h**d
-        b = [_exact_div(x, denom) for x in r]
-        g = a[-1]
-        if d == 1:
-            h = g
-        elif d > 1:
-            h = _exact_div(g**d, h ** (d - 1))
-        if not b:
-            return poly_primitive(a)
-        if len(b) == 1:
-            return [1]
+    for a, b, _ in _subresultant_steps(a, b):
+        pass
+    return [1] if b else poly_primitive(a)
 
 
 _SQFREE_PRIME = (1 << 61) - 1  # Mersenne prime, used for the fast certificate
@@ -537,6 +536,11 @@ def directional_resultant(system, v) -> int:
         raise ResultantError(f"direction {v} is not primitive")
     if v not in system_facet_normals(polys):
         return 1
+    return _facet_resultant(polys, v)
+
+
+def _facet_resultant(polys, v) -> int:
+    """Resultant of the two directed polynomials at a facet normal v (n=2)."""
     g1, _ = directed_polynomial(polys[0], v)
     g2, _ = directed_polynomial(polys[1], v)
     return resultant_univariate(univariate_coeffs(g1), univariate_coeffs(g2))
@@ -618,9 +622,9 @@ def classify_exceptional(system, label: str = "") -> DirectionalReport:
             ]
         zero_flags = (f.coeff((0,)) == 0,)
     else:
-        normals = system_facet_normals(polys)
         entries = [
-            DirectionalEntry(v, directional_resultant(polys, v)) for v in normals
+            DirectionalEntry(v, _facet_resultant(polys, v))
+            for v in system_facet_normals(polys)
         ]
         zero_flags = tuple(_common_root_on_axis(polys, ax) for ax in range(2))
     exceptional = any(e.is_zero for e in entries) or any(zero_flags)

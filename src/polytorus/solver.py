@@ -15,19 +15,14 @@ results do not depend on scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .lattice import mixed_volume
 from .polynomials import IntPolynomial, newton_polytope, sup_norm_upper
-from .resultants import (
-    DirectionalReport,
-    eliminant_bivariate,
-    roots_structure,
-    trim,
-)
+from .resultants import eliminant_bivariate, roots_structure, trim
 
 
 class SolverError(RuntimeError):
@@ -330,18 +325,7 @@ class SolveDiagnostics:
         return self.cross_check_mismatches > 0
 
     def to_dict(self) -> dict:
-        return {
-            "eliminant_degree": self.eliminant_degree,
-            "iterations": self.iterations,
-            "max_residual": self.max_residual,
-            "clustering_radius": self.clustering_radius,
-            "residual_threshold": self.residual_threshold,
-            "count_expected": self.count_expected,
-            "count_found": self.count_found,
-            "dropped": self.dropped,
-            "cross_check_mismatches": self.cross_check_mismatches,
-            "warnings": list(self.warnings),
-        }
+        return {**asdict(self), "warnings": list(self.warnings)}
 
 
 def _poly_rows_at(f: IntPolynomial, var: int, value: complex) -> np.ndarray:
@@ -423,7 +407,7 @@ def solve_univariate_cycle(f: IntPolynomial):
     return cycle, diag
 
 
-def _candidate_pools(f: IntPolynomial, ys, clustering_radius):
+def _candidate_pools(f: IntPolynomial, ys):
     """Roots of f(., y) for every y in ys; batched when no degree drops.
 
     A row loses x-degree only when its leading value is exactly zero (the
@@ -449,12 +433,7 @@ def _candidate_pools(f: IntPolynomial, ys, clustering_radius):
     return pools, sweeps
 
 
-def solve_bivariate(
-    f1: IntPolynomial,
-    f2: IntPolynomial,
-    clustering_radius: float = CLUSTER_RADIUS,
-    residual_tol: float = RESIDUAL_TOL,
-):
+def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
     """All isolated solutions of f1 = f2 = 0 as a ZeroCycle.
 
     Eliminates x for the y coordinates, back-substitutes for x, filters by
@@ -477,12 +456,12 @@ def solve_bivariate(
             eliminant_degree=0,
             iterations=0,
             max_residual=0.0,
-            clustering_radius=clustering_radius,
-            residual_threshold=residual_tol,
+            clustering_radius=CLUSTER_RADIUS,
+            residual_threshold=RESIDUAL_TOL,
             count_expected=expected,
             count_found=0,
         )
-        return ZeroCycle(2, (), residual_tol), diag
+        return ZeroCycle(2, (), RESIDUAL_TOL), diag
 
     # exact multiplicity structure first: Aberth only ever sees simple roots
     clusters = []
@@ -501,7 +480,7 @@ def solve_bivariate(
     degs = [f1.degree, f2.degree]
     polys = (f1, f2)
 
-    pools1, sw1 = _candidate_pools(f1, ys, clustering_radius)
+    pools1, sw1 = _candidate_pools(f1, ys)
     iterations = elim_sweeps + sw1
     pools2 = None  # computed lazily; f1 roots almost always suffice
 
@@ -510,7 +489,7 @@ def solve_bivariate(
     for idx, (ystar, mult) in enumerate(clusters):
         pool = list(pools1[idx])
         for attempt in range(2):
-            cands = cluster_values(pool, [1] * len(pool), clustering_radius)
+            cands = cluster_values(pool, [1] * len(pool))
             scored = sorted(
                 (
                     (_scaled_residual(polys, sups, degs, x, ystar), x)
@@ -518,11 +497,11 @@ def solve_bivariate(
                 ),
                 key=lambda t: t[0],
             )
-            passing = [(r, x) for r, x in scored if r <= residual_tol]
+            passing = [(r, x) for r, x in scored if r <= RESIDUAL_TOL]
             if passing or attempt == 1:
                 break
             if pools2 is None:
-                pools2, sw2 = _candidate_pools(f2, ys, clustering_radius)
+                pools2, sw2 = _candidate_pools(f2, ys)
                 iterations += sw2
             pool = pool + list(pools2[idx])
         if not passing:
@@ -564,18 +543,18 @@ def solve_bivariate(
         got_x = []
         for p in points:
             got_x.extend([p.coords[0]] * p.mult)
-        tol = max(1e-5, 100 * clustering_radius)
+        tol = max(1e-5, 100 * CLUSTER_RADIUS)
         mismatches = _unmatched_count(expected_x, got_x, tol)
     elif points:
         mismatches = len(points)  # y-elimination says no solutions at all
 
-    cycle = ZeroCycle(dim=2, points=tuple(points), residual_threshold=residual_tol)
+    cycle = ZeroCycle(dim=2, points=tuple(points), residual_threshold=RESIDUAL_TOL)
     diag = SolveDiagnostics(
         eliminant_degree=len(ry) - 1,
         iterations=iterations,
         max_residual=max_residual,
-        clustering_radius=clustering_radius,
-        residual_threshold=residual_tol,
+        clustering_radius=CLUSTER_RADIUS,
+        residual_threshold=RESIDUAL_TOL,
         count_expected=expected,
         count_found=cycle.degree,
         dropped=dropped,
@@ -604,28 +583,3 @@ def _unmatched_count(expected, got, tol) -> int:
         else:
             mism += 1
     return mism
-
-
-@dataclass(frozen=True)
-class CountVerdict:
-    status: str  # PASS | FAIL | SKIPPED
-    expected: int
-    found: int
-    reason: str = ""
-
-
-def count_check(system, cycle: ZeroCycle, report: DirectionalReport) -> CountVerdict:
-    """Bernstein-count verdict: non-exceptional systems must realize the
-    mixed-volume count exactly."""
-    polys = system.polys if hasattr(system, "polys") else tuple(system)
-    expected = int(mixed_volume([newton_polytope(f) for f in polys]))
-    if report.exceptional:
-        return CountVerdict(
-            "SKIPPED", expected, cycle.degree if cycle else 0, "exceptional system"
-        )
-    found = cycle.degree
-    if found == expected:
-        return CountVerdict("PASS", expected, found)
-    return CountVerdict(
-        "FAIL", expected, found, "solution count differs from mixed volume"
-    )

@@ -145,6 +145,38 @@ def test_classify_rejects_bad_system_file(tmp_path, capsys, polys):
     assert "Traceback" not in err
 
 
+BAD_SYSTEMS = {
+    # three polynomials in three variables: classify handles n <= 2 only
+    "n3": {"n": 3, "d": 1, "polys": [
+        [[[0, 0, 0], 1], [[1, 0, 0], 1]],
+        [[[0, 0, 0], 1], [[0, 1, 0], -1]],
+        [[[0, 0, 0], -1], [[0, 0, 1], 1]],
+    ]},
+    "constant-poly": {"n": 2, "d": 1, "polys": [
+        [[[0, 0], 1]], [[[0, 0], 1], [[1, 0], 1]],
+    ]},
+    # the Minkowski sum of the supports is a segment: no facet data
+    "flat-supports": {"n": 2, "d": 2, "polys": [
+        [[[1, 0], 1]], [[[1, 0], 1], [[2, 0], 1]],
+    ]},
+    "degree-0": {"n": 1, "d": 0, "polys": [[[[0], 3]]]},
+    "d-too-large": {"n": 1, "d": 7, "polys": [[[[0], 1], [[2], -1]]]},
+    "n0": {"n": 0, "d": 1, "polys": []},
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+@pytest.mark.parametrize("system", list(BAD_SYSTEMS.values()), ids=list(BAD_SYSTEMS))
+def test_bad_system_file_exits_2(tmp_path, capsys, command, system):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(system))
+    rc = main([command, str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_violation_dump_goes_to_run_dir(tmp_path, monkeypatch, capsys):
     import polytorus.cli as cli
     from polytorus.experiment import BoundViolationError

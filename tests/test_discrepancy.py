@@ -17,7 +17,6 @@ from polytorus.discrepancy import (
     discrepancy_bounds,
     erdos_turan_size,
     eta_upper_bound,
-    expected_measure_estimate,
     radius_discrepancy,
 )
 from polytorus.polynomials import IntPolynomial, sample_bernoulli_system, sup_norm_upper
@@ -456,7 +455,7 @@ def test_bound_exponent_vanishes_for_n1():
 
 
 # ---------------------------------------------------------------------------
-# polar boxes and the expected measure
+# polar boxes and box counts
 
 
 def test_box_validation():
@@ -487,27 +486,11 @@ def test_box_count_membership():
     assert box_count(c, shell) == 1
 
 
-def test_expected_measure_full_and_zero():
-    c1 = cycle_from_points([(1,), (1j,)], dim=1)
-    c2 = cycle_from_points([(1,), (-1,)], dim=1)
-    full = PolarBox.full(1)
-    est, haar = expected_measure_estimate([c1, None, c2], 2, full)
-    # 4 zeros over 3 trials of d^1 = 2 each; the None trial counts as zero
-    assert est == pytest.approx(4 / 6)
-    assert haar == pytest.approx(1.0)
-    away = PolarBox(radial=((0.0, 0.3),), angular=((-math.pi, math.pi),))
-    est0, haar0 = expected_measure_estimate([c1, c2], 2, away)
-    assert est0 == 0.0 and haar0 == 0.0
-
-
-def test_expected_measure_additive_over_disjoint_boxes():
+def test_box_count_additive_over_disjoint_boxes():
     rng = random.Random(3)
     pts = [(cmath.exp(1j * rng.uniform(-3, 3)),) for _ in range(10)]
     c = cycle_from_points(pts)
     left = PolarBox(radial=((0.0, 2.0),), angular=((-math.pi, 0.0),))
     right = PolarBox(radial=((0.0, 2.0),), angular=((0.0, math.pi),))
     whole = PolarBox(radial=((0.0, 2.0),), angular=((-math.pi, math.pi),))
-    el, _ = expected_measure_estimate([c], 10, left)
-    er, _ = expected_measure_estimate([c], 10, right)
-    ew, _ = expected_measure_estimate([c], 10, whole)
-    assert el + er == pytest.approx(ew)
+    assert box_count(c, left) + box_count(c, right) == box_count(c, whole) == 10

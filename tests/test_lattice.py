@@ -40,6 +40,8 @@ def test_hull_errors():
         convex_hull([])
     with pytest.raises(GeometryError):
         convex_hull([(0, 0), (1,)])
+    with pytest.raises(GeometryError):
+        convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_minkowski_scaling_identity():
@@ -118,12 +120,6 @@ def test_face_normal_is_primitive():
 
 def test_facet_normals_simplex():
     assert set(facet_normals(standard_simplex(2, 5))) == {(1, 0), (0, 1), (-1, -1)}
-    assert set(facet_normals(standard_simplex(3, 2))) == {
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-        (-1, -1, -1),
-    }
     sq = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert set(facet_normals(sq)) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
 
@@ -135,7 +131,7 @@ def test_facet_normals_need_full_dimension():
 
 
 def test_facet_normals_count_simplex():
-    for n, d in [(1, 3), (2, 4), (3, 2)]:
+    for n, d in [(1, 3), (2, 4)]:
         s = standard_simplex(n, d)
         assert len(facet_normals(s)) == n + 1
 
@@ -152,10 +148,10 @@ def _random_polytope(rng, n, lo=0, hi=5, npts=4):
     return convex_hull(pts)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2])
 def test_mixed_volume_symmetry(n):
     rng = random.Random(123 + n)
-    for _ in range(6 if n == 2 else 3):
+    for _ in range(6):
         qs = [_random_polytope(rng, n) for _ in range(n)]
         base = mixed_volume(qs)
         rng.shuffle(qs)
@@ -172,7 +168,7 @@ def test_mixed_volume_multilinearity():
         assert left == mixed_volume([q1, q2]) + mixed_volume([q1b, q2])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
 def test_mixed_volume_diagonal_is_factorial_volume(n):
     import math
 
@@ -227,26 +223,3 @@ def test_face_points_subset(points, v):
     p = convex_hull(points)
     f = face(p, v)
     assert set(f.points) <= set(p.points)
-
-
-def test_hull3d_cube_and_volume():
-    cube = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
-    p = convex_hull(cube + [(1, 1, 1)])
-    assert len(p.vertices) == 8
-    assert volume(p) == 8
-    assert set(facet_normals(p)) == {
-        (1, 0, 0),
-        (-1, 0, 0),
-        (0, 1, 0),
-        (0, -1, 0),
-        (0, 0, 1),
-        (0, 0, -1),
-    }
-
-
-def test_hull3d_degenerate_cases():
-    assert volume(convex_hull([(1, 1, 1)])) == 0
-    assert volume(convex_hull([(0, 0, 0), (2, 2, 2), (1, 1, 1)])) == 0
-    planar = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
-    assert volume(planar) == 0
-    assert set(planar.vertices) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)}

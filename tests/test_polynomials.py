@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +15,6 @@ from polytorus.polynomials import (
     homogenize,
     newton_polytope,
     sample_bernoulli_system,
-    sup_norm_grid,
     sup_norm_upper,
     support,
     system_from_dict,
@@ -201,24 +199,6 @@ def test_sup_norm_upper_examples():
     assert sup_norm_upper(s.polys[0]) == math.comb(6, 2)
     assert sup_norm_upper(poly(1, {(2,): 3})) == 3
     assert sup_norm_upper(poly(1, {(0,): 1, (1,): -1})) == 2
-
-
-def test_sup_norm_grid_examples():
-    d = 6
-    f = poly(1, {(k,): 1 for k in range(d + 1)})
-    assert sup_norm_grid(f, 16) == pytest.approx(d + 1)
-    assert sup_norm_grid(poly(1, {(1,): 1}), 8) == pytest.approx(1.0)
-    with pytest.raises(PolynomialError):
-        sup_norm_grid(f, 4)
-
-
-@given(st.integers(0, 2**32), st.integers(1, 6), st.sampled_from([8, 16, 33, 64]))
-@settings(max_examples=40, deadline=None)
-def test_sup_norm_grid_below_upper(seed, d, grid):
-    f = sample_bernoulli_system(1, d, seed, 0).polys[0]
-    assert sup_norm_grid(f, grid) <= sup_norm_upper(f)
-    f2 = sample_bernoulli_system(2, min(d, 4), seed, 1).polys[0]
-    assert sup_norm_grid(f2, grid) <= sup_norm_upper(f2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from polytorus.solver import (
     NonIsolatedError,
     SolverError,
     cluster_values,
-    count_check,
     roots_univariate,
     solve_bivariate,
     solve_univariate_cycle,
@@ -226,28 +225,6 @@ def test_cycle_json_schema():
     assert d["points"][0].keys() == {"coords", "mult", "residual"}
     assert len(d["points"][0]["coords"][0]) == 2
     assert "count_found" in d["diagnostics"]
-
-
-# ---------------------------------------------------------------------------
-# count check verdicts
-
-
-def test_count_check_pass_and_skip():
-    s = sample_bernoulli_system(2, 3, 4, 2)
-    rep = classify_exceptional(s)
-    assert not rep.exceptional
-    cycle, _ = solve_bivariate(*s.polys)
-    verdict = count_check(s, cycle, rep)
-    assert verdict.status == "PASS"
-    assert verdict.expected == 9
-
-    f1 = poly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
-    f2 = poly(2, {(0, 0): -1, (1, 0): 1, (0, 1): 1})
-    rep2 = classify_exceptional((f1, f2))
-    from polytorus.solver import ZeroCycle
-
-    verdict2 = count_check((f1, f2), ZeroCycle(2, (), 1e-6), rep2)
-    assert verdict2.status == "SKIPPED"
 
 
 def test_univariate_cycle():
