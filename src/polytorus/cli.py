@@ -157,7 +157,7 @@ def _cmd_experiment(args):
         cfg = ExperimentConfig.from_dict(
             {
                 "n": args.n,
-                "degrees": [int(x) for x in args.d.split(",")],
+                "degrees": _degree_list(args.d),
                 "trials_per_degree": args.trials,
                 "master_seed": args.seed,
                 "epsilons": args.eps,
@@ -205,6 +205,13 @@ def _cmd_report(args):
     for f in files:
         print(f)
     return EXIT_OK
+
+
+def _degree_list(text):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--d takes comma-separated integers, got {text!r}") from None
 
 
 def _eps_list(text):

@@ -69,6 +69,18 @@ class ClassifierMismatchError(RuntimeError):
 MODULI_BIN_RANGE = (0.05, 20.0)
 
 
+def _json_int(value, name: str) -> int:
+    if type(value) is not int:  # bool is not taken
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_float(value, name: str) -> float:
+    if type(value) not in (int, float):  # bool is not taken
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int
@@ -134,21 +146,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        """Build and validate a config from its JSON object.
+
+        Counts, degrees and seeds must be JSON integers and epsilons JSON
+        numbers: 10.9 or true is refused, never coerced.
+        """
         try:
             cfg = cls(
-                n=int(obj["n"]),
-                degrees=tuple(int(d) for d in obj["degrees"]),
-                trials_per_degree=int(obj["trials_per_degree"]),
-                master_seed=int(obj.get("master_seed", 1)),
-                epsilons=tuple(float(e) for e in obj.get("epsilons", (0.1, 0.2))),
+                n=_json_int(obj["n"], "n"),
+                degrees=tuple(_json_int(d, "degrees") for d in obj["degrees"]),
+                trials_per_degree=_json_int(
+                    obj["trials_per_degree"], "trials_per_degree"
+                ),
+                master_seed=_json_int(obj.get("master_seed", 1), "master_seed"),
+                epsilons=tuple(
+                    _json_float(e, "epsilons") for e in obj.get("epsilons", (0.1, 0.2))
+                ),
                 angle_mode=obj.get("angle_mode", "exact"),
-                grid_size=int(obj.get("grid_size", 64)),
+                grid_size=_json_int(obj.get("grid_size", 64), "grid_size"),
                 box_probes=tuple(
                     PolarBox.from_dict(b) for b in obj.get("box_probes", ())
                 ),
                 out_dir=obj.get("out_dir"),
-                parallelism=int(obj.get("parallelism", 1)),
-                histogram_bins=int(obj.get("histogram_bins", 64)),
+                parallelism=_json_int(obj.get("parallelism", 1), "parallelism"),
+                histogram_bins=_json_int(
+                    obj.get("histogram_bins", 64), "histogram_bins"
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc

@@ -2,11 +2,13 @@
 
 Univariate roots come from Aberth-Ehrlich simultaneous iteration started
 on a circle of radius (|a_0/a_d|)^(1/deg) with a deterministic angular
-perturbation, followed by a short Newton polish.  Bivariate systems are
-solved through the exact eliminant: its roots give one coordinate, the
-other is recovered by back-substitution into the input polynomials with
-scaled residual filtering, and the whole solution multiset is
-cross-checked against the eliminant of the opposite variable.
+perturbation, followed by a short Newton polish; each sweep is one Horner
+pass per point, taken on the point's side of the unit circle.  Bivariate
+systems are solved through the exact eliminant: its roots give one
+coordinate, the other is recovered by back-substitution into the input
+polynomials, with all candidates above a root scored by one vectorized
+scaled residual, and the whole solution multiset is cross-checked against
+the eliminant of the opposite variable.
 
 Output ordering is normalized (lexicographic by real/imaginary parts) so
 results do not depend on scheduling.
@@ -71,38 +73,41 @@ def scaled_float_coeffs(coeffs) -> np.ndarray:
 # Aberth-Ehrlich
 
 
-def _horner_with_derivative(coeff_rows: np.ndarray, z: np.ndarray):
+def _horner_one_side(coeff_rows: np.ndarray, z: np.ndarray):
+    """(outside, v, value, derivative) of one Horner pass per point.
+
+    `coeff_rows` is (rows, deg+1), lowest power first; `z` is (rows, npts).
+    Points with |z| <= 1 are evaluated at v = z, the others on the reversed
+    polynomial u^deg p(1/u) at v = 1/z, so no large power is formed.
+    """
     deg = coeff_rows.shape[1] - 1
-    p = np.repeat(coeff_rows[:, deg][:, None], z.shape[1], axis=1).astype(complex)
-    dp = np.zeros_like(z)
+    outside = np.abs(z) > 1.0
+    v = np.where(outside, 1.0 / np.where(outside, z, 1.0), z)
+    cols = coeff_rows.T[:, :, None]
+    coeffs = np.where(outside, cols[::-1], cols)  # [j]: coefficient of v^j
+    p = coeffs[deg].astype(complex)
+    dp = np.zeros_like(p)
     for j in range(deg - 1, -1, -1):
-        dp = dp * z + p
-        p = p * z + coeff_rows[:, j][:, None]
-    return p, dp
+        dp *= v
+        dp += p
+        p *= v
+        p += coeffs[j]
+    return outside, v, p, dp
 
 
-def _newton_ratio(coeff_rows: np.ndarray, z: np.ndarray):
+def _newton_ratio(coeff_rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     """w = p(z)/p'(z), overflow-safe on both sides of the unit circle.
 
     Outside the unit disk the ratio is taken through the reversed
     polynomial q(u) = u^deg p(1/u): the z^deg factors cancel in
     w = z q(u) / (deg q(u) - u q'(u)), so a degree-100 polynomial at
-    |z| ~ 1e4 stays in range.  Returns (w, p_inside) where p_inside is
-    the direct value for |z| <= 1 (for convergence bookkeeping).
+    |z| ~ 1e4 stays in range.
     """
     deg = coeff_rows.shape[1] - 1
-    p, dp = _horner_with_derivative(coeff_rows, z)
-    dp = np.where(dp == 0, 1e-300, dp)
-    w = p / dp
-    outside = np.abs(z) > 1.0
-    if outside.any():
-        u = np.where(outside, 1.0 / np.where(z == 0, 1.0, z), 0.0)
-        q, dq = _horner_with_derivative(coeff_rows[:, ::-1], u)
-        denom = deg * q - u * dq
-        denom = np.where(denom == 0, 1e-300, denom)
-        w_out = z * q / denom
-        w = np.where(outside, w_out, w)
-    return w, p
+    outside, v, p, dp = _horner_one_side(coeff_rows, z)
+    num = np.where(outside, z * p, p)
+    den = np.where(outside, deg * p - v * dp, dp)
+    return num / np.where(den == 0, 1e-300, den)
 
 
 def _pairwise_inverse_sum(z: np.ndarray) -> np.ndarray:
@@ -153,7 +158,7 @@ def _aberth_batch(coeff_rows: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while sweeps < ABERTH_MAX_SWEEPS and active.any():
             sweeps += 1
-            w, _ = _newton_ratio(coeff_rows, z)
+            w = _newton_ratio(coeff_rows, z)
             s = _pairwise_inverse_sum(z)
             denom = 1.0 - w * s
             denom = np.where(denom == 0, 1e-300, denom)
@@ -166,7 +171,7 @@ def _aberth_batch(coeff_rows: np.ndarray):
             active &= ~done
         converged = ~active
         for _ in range(NEWTON_POLISH_STEPS):
-            step, _ = _newton_ratio(coeff_rows, z)
+            step = _newton_ratio(coeff_rows, z)
             ok = np.isfinite(step) & (np.abs(step) <= 1e-2 * (1.0 + np.abs(z)))
             z = z - np.where(ok, step, 0.0)
     return z, converged, sweeps
@@ -345,20 +350,35 @@ def _poly_rows_at(f: IntPolynomial, var: int, value: complex) -> np.ndarray:
     return out
 
 
-def _scaled_residual(polys, sups, degs, x: complex, y: complex) -> float:
-    """max_i |f_i(x, y)| / (sup_i * s^deg_i) with s = max(1, |x|, |y|).
+def _term_columns(f: IntPolynomial):
+    """(deg, coefficients as a (T, 1) column, x exponents, y exponents,
+    deg - |J|) of f's T terms, the input of `_scaled_residuals`."""
+    exps = np.array([exp for exp, _ in f.terms]).reshape(-1, 2)
+    coeffs = np.array([[float(c)] for _, c in f.terms])
+    return f.degree, coeffs, exps[:, 0], exps[:, 1], f.degree - exps.sum(axis=1)
 
+
+def _scaled_residuals(columns, sups, x: np.ndarray, y: complex) -> np.ndarray:
+    """max_i |f_i(x_k, y)| / (sup_i * s_k^deg_i), s_k = max(1, |x_k|, |y|).
+
+    One value per candidate x_k, from `_term_columns` of each f_i.
     Evaluated as sum a_J (x/s)^j1 (y/s)^j2 s^(|J|-deg): every term is
-    bounded by |a_J|, so far-out points cannot overflow.
+    bounded by |a_J|, so far-out points cannot overflow.  Real-part
+    products and libm pow and hypot, not numpy's vectorized complex
+    multiply and power, round each term as a scalar Python loop does.
     """
-    s = max(1.0, abs(x), abs(y))
-    xs, ys = x / s, y / s
-    worst = 0.0
-    for f, sup, d in zip(polys, sups, degs):
-        val = 0j
-        for exp, c in f.terms:
-            val += c * xs ** exp[0] * ys ** exp[1] * s ** (sum(exp) - d)
-        worst = max(worst, abs(val) / sup)
+    s = np.maximum(np.maximum(np.hypot(x.real, x.imag), abs(y)), 1.0)
+    xs, ys = np.empty_like(x), np.empty_like(x)
+    xs.real, xs.imag = x.real / s, x.imag / s
+    ys.real, ys.imag = y.real / s, y.imag / s
+    e = np.arange(max(deg for deg, *_ in columns) + 1)[:, None]
+    xpow, ypow, spow = xs**e, ys**e, np.float_power(s, -e)
+    worst = np.zeros(x.shape)
+    for (_, c, j1, j2, m), sup in zip(columns, sups):
+        a, b, scale = c * xpow[j1], ypow[j2], spow[m]
+        re = ((a.real * b.real - a.imag * b.imag) * scale).sum(axis=0)
+        im = ((a.real * b.imag + a.imag * b.real) * scale).sum(axis=0)
+        worst = np.maximum(worst, np.hypot(re, im) / sup)
     return worst
 
 
@@ -374,23 +394,16 @@ def solve_univariate_cycle(f: IntPolynomial):
     scaled = scaled_float_coeffs(coeffs)
     norm1 = float(np.sum(np.abs(scaled)))  # scale-free with the values below
     clustered = cluster_values(list(res.roots), [1] * len(res.roots))
-    pts = []
-    worst = 0.0
-    for z, m in clustered:
-        # |f(z)| / (norm * max(1,|z|)^deg): for |z| > 1 this equals
-        # |rev(f)(1/z)| / norm, which never overflows
-        val = 0.0j
-        if abs(z) <= 1.0:
-            for c in scaled[::-1]:
-                val = val * z + c
-        else:
-            u = 1.0 / z
-            for c in scaled:
-                val = val * u + c
-        r = abs(val) / norm1
-        worst = max(worst, r)
-        pts.append(CyclePoint(coords=(z,), mult=m, residual=r))
-    pts.sort(key=lambda p: (p.coords[0].real, p.coords[0].imag))
+    zs = np.array([z for z, _ in clustered], dtype=complex)
+    # |f(z)| / (norm * max(1,|z|)^deg): for |z| > 1 this equals
+    # |rev(f)(1/z)| / norm, which never overflows
+    _, _, vals, _ = _horner_one_side(scaled[None, :], zs[None, :])
+    resid = np.abs(vals[0]) / norm1
+    pts = [
+        CyclePoint(coords=(z,), mult=m, residual=float(r))
+        for (z, m), r in zip(clustered, resid)
+    ]
+    worst = float(np.max(resid, initial=0.0))
     cycle = ZeroCycle(dim=1, points=tuple(pts), residual_threshold=RESIDUAL_TOL)
     diag = SolveDiagnostics(
         eliminant_degree=deg,
@@ -477,8 +490,7 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
     clusters.sort(key=lambda t: (t[0].real, t[0].imag))
     ys = [y for y, _ in clusters]
     sups = [float(sup_norm_upper(f1)), float(sup_norm_upper(f2))]
-    degs = [f1.degree, f2.degree]
-    polys = (f1, f2)
+    columns = [_term_columns(f1), _term_columns(f2)]
 
     pools1, sw1 = _candidate_pools(f1, ys)
     iterations = elim_sweeps + sw1
@@ -489,15 +501,15 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
     for idx, (ystar, mult) in enumerate(clusters):
         pool = list(pools1[idx])
         for attempt in range(2):
-            cands = cluster_values(pool, [1] * len(pool))
-            scored = sorted(
-                (
-                    (_scaled_residual(polys, sups, degs, x, ystar), x)
-                    for x, _ in cands
-                ),
-                key=lambda t: t[0],
+            cands = [x for x, _ in cluster_values(pool, [1] * len(pool))]
+            resid = _scaled_residuals(
+                columns, sups, np.array(cands, dtype=complex), ystar
             )
-            passing = [(r, x) for r, x in scored if r <= RESIDUAL_TOL]
+            passing = [
+                (float(resid[i]), cands[i])
+                for i in np.argsort(resid, kind="stable")
+                if resid[i] <= RESIDUAL_TOL
+            ]
             if passing or attempt == 1:
                 break
             if pools2 is None:

@@ -98,6 +98,22 @@ def test_config_error_exit_code(capsys):
     assert rc == 2
 
 
+def test_experiment_rejects_non_integer_inputs(tmp_path, capsys):
+    rc = main(["experiment", "--n", "2", "--d", "4,x", "--trials", "1"])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    path = tmp_path / "floats.json"
+    path.write_text(
+        json.dumps(
+            {"n": 1, "degrees": [10.9], "trials_per_degree": 2.7, "master_seed": 1.5}
+        )
+    )
+    rc = main(["experiment", "--config", str(path)])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "trials_n1_d10.jsonl").exists()
+
+
 def test_io_error_exit_code(capsys):
     rc = main(["report", "/nonexistent-dir-xyz"])
     assert rc == 4

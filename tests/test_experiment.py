@@ -64,6 +64,27 @@ def test_config_rejects_bad_values(tmp_path):
         tiny_config(tmp_path, angle_mode="exact", degrees=[21])
 
 
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"n": 2.0},
+        {"degrees": [2, 10.9]},
+        {"degrees": [True, 3]},
+        {"trials_per_degree": 2.7},
+        {"master_seed": 1.5},
+        {"master_seed": True},
+        {"grid_size": 16.0},
+        {"parallelism": True},
+        {"histogram_bins": "16"},
+        {"epsilons": [True]},
+        {"epsilons": ["0.1"]},
+    ],
+)
+def test_config_rejects_values_it_would_coerce(tmp_path, over):
+    with pytest.raises(ConfigError):
+        tiny_config(tmp_path, **over)
+
+
 def test_config_exact_mode_cap_allows_d20(tmp_path):
     cfg = tiny_config(tmp_path, angle_mode="exact", degrees=[20])
     assert max(cfg.degrees) ** 2 == EXACT_MODE_POINT_CAP

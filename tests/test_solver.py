@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polytorus import solver
 from polytorus.lattice import convex_hull, mixed_volume
 from polytorus.polynomials import (
     IntPolynomial,
@@ -253,3 +254,115 @@ def test_mixed_support_bkk_pair():
         break
     cycle, diag = solve_bivariate(f1, f2)
     assert cycle.degree == 4 == diag.count_expected
+
+
+# ---------------------------------------------------------------------------
+# evaluation kernels against scalar references
+
+
+def _reference_scaled_residual(polys, sups, x, y):
+    """The residual filter as a scalar loop over terms, one (x, y) pair."""
+    x, y = complex(x), complex(y)
+    s = max(1.0, abs(x), abs(y))
+    xs, ys = x / s, y / s
+    worst = 0.0
+    for f, sup in zip(polys, sups):
+        val = 0j
+        for exp, c in f.terms:
+            val += c * xs ** exp[0] * ys ** exp[1] * s ** (sum(exp) - f.degree)
+        worst = max(worst, abs(val) / sup)
+    return worst
+
+
+def _reference_newton_ratio(coeff_rows, z):
+    """p/p' by two full Horner passes, direct at z and reversed at 1/z,
+    selected per point afterwards."""
+
+    def horner(rows, at):
+        deg = rows.shape[1] - 1
+        p = np.repeat(rows[:, deg][:, None], at.shape[1], axis=1).astype(complex)
+        dp = np.zeros_like(at)
+        for j in range(deg - 1, -1, -1):
+            dp = dp * at + p
+            p = p * at + rows[:, j][:, None]
+        return p, dp
+
+    deg = coeff_rows.shape[1] - 1
+    p, dp = horner(coeff_rows, z)
+    w = p / np.where(dp == 0, 1e-300, dp)
+    outside = np.abs(z) > 1.0
+    u = np.where(outside, 1.0 / np.where(z == 0, 1.0, z), 0.0)
+    q, dq = horner(coeff_rows[:, ::-1], u)
+    denom = deg * q - u * dq
+    w_out = z * q / np.where(denom == 0, 1e-300, denom)
+    return np.where(outside, w_out, w)
+
+
+def _far_candidates(rng, k):
+    """k complex points with moduli from 1e-8 to 1e8, plus the unit circle."""
+    mod = 10.0 ** rng.uniform(-8, 8, k)
+    pts = mod * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+    return np.concatenate([pts, [1.0, -1.0, 1j, 0.0]])
+
+
+def test_residual_kernel_matches_scalar_loop():
+    rng = np.random.default_rng(5)
+    for seed in range(50):
+        d = 1 + seed % 12
+        polys = sample_bernoulli_system(2, d, seed, 0).polys
+        sups = [float(sup_norm_upper(f)) for f in polys]
+        columns = [solver._term_columns(f) for f in polys]
+        xs = _far_candidates(rng, 12)
+        for y in _far_candidates(rng, 3):
+            got = solver._scaled_residuals(columns, sups, xs, y)
+            want = [_reference_scaled_residual(polys, sups, x, y) for x in xs]
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("rows,deg", [(1, 1), (1, 12), (3, 7), (5, 40)])
+def test_one_pass_newton_ratio_equals_two_pass(rows, deg):
+    rng = np.random.default_rng(rows * 100 + deg)
+    coeff_rows = rng.standard_normal((rows, deg + 1)) + 1j * rng.standard_normal(
+        (rows, deg + 1)
+    )
+    z = np.stack([_far_candidates(rng, 2 * deg) for _ in range(rows)])
+    z[:, 0] = 10.0 ** rng.uniform(-3, 3, rows)  # near the iteration's range
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_newton_ratio(coeff_rows, z)
+        got = solver._newton_ratio(coeff_rows, z)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d,seed", [(4, 3), (5, 11), (6, 5), (7, 2), (8, 1)])
+def test_solve_bivariate_matches_reference_kernels(monkeypatch, d, seed):
+    t = 0
+    while classify_exceptional(sample_bernoulli_system(2, d, seed, t)).exceptional:
+        t += 1
+    polys = sample_bernoulli_system(2, d, seed, t).polys
+    cycle, diag = solve_bivariate(*polys)
+
+    def scalar_residuals(columns, sups, x, y):
+        return np.array([_reference_scaled_residual(polys, sups, xk, y) for xk in x])
+
+    monkeypatch.setattr(solver, "_scaled_residuals", scalar_residuals)
+    monkeypatch.setattr(solver, "_newton_ratio", _reference_newton_ratio)
+    ref_cycle, ref_diag = solve_bivariate(*polys)
+    assert [(p.coords, p.mult) for p in cycle.points] == [
+        (p.coords, p.mult) for p in ref_cycle.points
+    ]
+    assert diag.iterations == ref_diag.iterations
+    assert abs(diag.max_residual - ref_diag.max_residual) <= 1e-15
+
+
+def test_univariate_residuals_match_scalar_horner():
+    f = sample_bernoulli_system(1, 120, 8, 0).polys[0]
+    cycle, diag = solve_univariate_cycle(f)
+    scaled = solver.scaled_float_coeffs([f.coeff((k,)) for k in range(121)])
+    norm1 = float(np.sum(np.abs(scaled)))
+    for p in cycle.points:
+        (z,) = p.coords
+        val = 0j
+        for c in scaled[::-1] if abs(z) <= 1.0 else scaled:
+            val = val * (z if abs(z) <= 1.0 else 1.0 / z) + c
+        assert abs(p.residual - abs(val) / norm1) <= 1e-15
+    assert diag.max_residual == max(p.residual for p in cycle.points)
