@@ -44,8 +44,6 @@ from .polynomials import (
     BernoulliSystem,
     IntPolynomial,
     directed_polynomial,
-    evaluate,
-    homogenize,
     sample_bernoulli_system,
     sup_norm_upper,
     support,

@@ -461,11 +461,19 @@ class PolarBox:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PolarBox":
+        """Bounds must be JSON numbers (false or "0.3" is refused, never
+        coerced); an outer radius of null is open."""
+
+        def bound(value):
+            if type(value) not in (int, float):  # bool is not taken
+                raise DiscrepancyError(f"box bound must be a number, got {value!r}")
+            return float(value)
+
         radial = tuple(
-            (float(r1), math.inf if r2 is None else float(r2))
+            (bound(r1), math.inf if r2 is None else bound(r2))
             for r1, r2 in obj["radial"]
         )
-        angular = tuple((float(a), float(b)) for a, b in obj["angular"])
+        angular = tuple((bound(a), bound(b)) for a, b in obj["angular"])
         return cls(radial=radial, angular=angular)
 
 

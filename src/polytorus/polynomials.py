@@ -30,8 +30,7 @@ class IntPolynomial:
     terms: sorted tuple of (exponent tuple, coefficient), coefficients
     nonzero, exponents componentwise >= 0.  `offset` records a Laurent
     translation: the represented monomial for stored exponent J is
-    x^(J + offset).  Offsets stay out of supports and norms; they matter
-    only when evaluating.
+    x^(J + offset).  Offsets stay out of supports and norms.
     """
 
     nvars: int
@@ -101,57 +100,6 @@ def support(f: IntPolynomial):
 
 def newton_polytope(f: IntPolynomial):
     return convex_hull(support(f))
-
-
-def evaluate(f: IntPolynomial, point) -> complex:
-    """Evaluate at a complex point, Horner in the trailing variable."""
-    point = tuple(complex(z) for z in point)
-    if len(point) != f.nvars:
-        raise PolynomialError(
-            f"point dimension {len(point)} does not match nvars {f.nvars}"
-        )
-    if f.is_zero:
-        return 0j
-
-    def rec(terms, coords):
-        if not coords:
-            return complex(terms[()])
-        z = coords[-1]
-        layers = {}
-        for exp, c in terms.items():
-            layers.setdefault(exp[-1], {})[exp[:-1]] = c
-        val = 0j
-        for k in range(max(layers), -1, -1):
-            val *= z
-            if k in layers:
-                val += rec(layers[k], coords[:-1])
-        return val
-
-    val = rec(dict(f.terms), point)
-    for z, o in zip(point, f.offset):
-        if o:
-            if z == 0:
-                raise PolynomialError("Laurent offset cannot be evaluated at 0")
-            val *= z**o
-    return val
-
-
-def homogenize(f: IntPolynomial, d: int) -> IntPolynomial:
-    """Degree-d homogenization: term x^J maps to t0^(d-|J|) x^J.
-
-    The result has nvars+1 variables with t0 first; substituting t0=1
-    recovers f.
-    """
-    if f.is_zero:
-        raise PolynomialError("cannot homogenize the zero polynomial")
-    if any(f.offset):
-        raise PolynomialError("cannot homogenize a Laurent-translated polynomial")
-    if f.degree > d:
-        raise PolynomialError(f"degree {f.degree} exceeds homogenization degree {d}")
-    terms = {}
-    for exp, c in f.terms:
-        terms[(d - sum(exp),) + exp] = c
-    return IntPolynomial.from_dict(f.nvars + 1, terms)
 
 
 def directed_polynomial(f: IntPolynomial, v):

@@ -3,12 +3,15 @@
 Univariate roots come from Aberth-Ehrlich simultaneous iteration started
 on a circle of radius (|a_0/a_d|)^(1/deg) with a deterministic angular
 perturbation, followed by a short Newton polish; each sweep is one Horner
-pass per point, taken on the point's side of the unit circle.  Bivariate
-systems are solved through the exact eliminant: its roots give one
-coordinate, the other is recovered by back-substitution into the input
-polynomials, with all candidates above a root scored by one vectorized
-scaled residual, and the whole solution multiset is cross-checked against
-the eliminant of the opposite variable.
+pass per point, taken on the point's side of the unit circle.  A root
+stops when its correction is below ABERTH_TOL or its value is at the
+rounding floor of Horner's rule (`_aberth_batch`); a root flagged
+unconverged met neither test.  Bivariate systems are solved through both
+exact eliminants, without back-substitution: the roots of Res_x (the y
+coordinates) and of Res_y (the x coordinates) are paired by their scaled
+residual and polished by 2x2 Newton steps.  `dropped` counts y roots left
+unpaired, `cross_check_mismatches` x multiplicity left unpaired, and
+`iterations` the Aberth sweeps of both eliminants.
 
 Output ordering is normalized (lexicographic by real/imaginary parts) so
 results do not depend on scheduling.
@@ -37,7 +40,10 @@ class NonIsolatedError(SolverError):
 
 ABERTH_MAX_SWEEPS = 200
 ABERTH_TOL = 1e-13
+ROUNDING_FLOOR = 4 * 2.0**-53  # C * u of the rounding-floor stop
 NEWTON_POLISH_STEPS = 3
+NEWTON_PAIR_STEPS = 2
+JACOBIAN_FLOOR = 1e-8  # |det J| relative to its two products: singular
 CLUSTER_RADIUS = 1e-7
 RESIDUAL_TOL = 1e-6
 
@@ -95,19 +101,41 @@ def _horner_one_side(coeff_rows: np.ndarray, z: np.ndarray):
     return outside, v, p, dp
 
 
-def _newton_ratio(coeff_rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """w = p(z)/p'(z), overflow-safe on both sides of the unit circle.
+def _newton_ratio(coeff_rows: np.ndarray, z: np.ndarray):
+    """(w, p): w = p(z)/p'(z), overflow-safe on both sides of the unit
+    circle, and p the value of the Horner pass on the point's side.
 
     Outside the unit disk the ratio is taken through the reversed
     polynomial q(u) = u^deg p(1/u): the z^deg factors cancel in
     w = z q(u) / (deg q(u) - u q'(u)), so a degree-100 polynomial at
-    |z| ~ 1e4 stays in range.
+    |z| ~ 1e4 stays in range; there p is q(1/z).
     """
     deg = coeff_rows.shape[1] - 1
     outside, v, p, dp = _horner_one_side(coeff_rows, z)
     num = np.where(outside, z * p, p)
     den = np.where(outside, deg * p - v * dp, dp)
-    return num / np.where(den == 0, 1e-300, den)
+    return num / np.where(den == 0, 1e-300, den), p
+
+
+def _at_rounding_floor(abs_rows, norm1, z, p, cand):
+    """Which points of `cand` have |p| <= ROUNDING_FLOOR * e, where
+    e = sum_j |a_j| |v|^j on the point's side (v = z or 1/z, |v| <= 1) is
+    the running error bound of the Horner pass that gave p.
+
+    e <= ||a||_1, so |p| <= ROUNDING_FLOOR * ||a||_1 pre-filters for free
+    and e is formed for the few points that pass it.
+    """
+    absp = np.abs(p)
+    cand = cand & (absp <= ROUNDING_FLOOR * norm1[:, None])
+    if cand.any():
+        r, k = np.nonzero(cand)
+        av = np.abs(z[r, k])
+        outside = av > 1.0
+        av = np.where(outside, 1.0 / np.where(outside, av, 1.0), av)
+        a = np.where(outside[:, None], abs_rows[r, ::-1], abs_rows[r])
+        e = (a * av[:, None] ** np.arange(abs_rows.shape[1])).sum(axis=1)
+        cand[r, k] = absp[r, k] <= ROUNDING_FLOOR * e
+    return cand
 
 
 def _pairwise_inverse_sum(z: np.ndarray) -> np.ndarray:
@@ -132,7 +160,13 @@ def _pairwise_inverse_sum(z: np.ndarray) -> np.ndarray:
 def _aberth_batch(coeff_rows: np.ndarray):
     """All roots of each row polynomial (equal formal degree, lc nonzero).
 
-    Returns (roots, converged, sweeps); non-converged roots are flagged,
+    A point stops when its Aberth correction is below ABERTH_TOL
+    (relative), or when |p| is within ROUNDING_FLOOR of Horner's running
+    error bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    5.1; MPSolve's stopping rule): p is then rounding noise, and an
+    ill-conditioned root, whose correction wanders at noise level, is as
+    accurate as doubles allow.  Returns (roots, converged, sweeps); a root
+    that stopped by neither rule within ABERTH_MAX_SWEEPS is flagged,
     never silently dropped.
     """
     rows, width = coeff_rows.shape
@@ -153,12 +187,14 @@ def _aberth_batch(coeff_rows: np.ndarray):
     angles = 2 * np.pi * (k + 0.3618) / deg + 1e-3 * jitter
     z = radius[:, None] * np.exp(1j * angles)[None, :]
 
+    abs_rows = np.abs(coeff_rows)
+    norm1 = abs_rows.sum(axis=1)
     active = np.ones((rows, deg), dtype=bool)
     sweeps = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while sweeps < ABERTH_MAX_SWEEPS and active.any():
             sweeps += 1
-            w = _newton_ratio(coeff_rows, z)
+            w, p = _newton_ratio(coeff_rows, z)
             s = _pairwise_inverse_sum(z)
             denom = 1.0 - w * s
             denom = np.where(denom == 0, 1e-300, denom)
@@ -167,11 +203,12 @@ def _aberth_batch(coeff_rows: np.ndarray):
             if bad.any():  # last-resort rescue, should not trigger anymore
                 corr = np.where(bad, 0.5 * z, corr)
             done = np.abs(corr) <= ABERTH_TOL * (1.0 + np.abs(z))
+            done |= _at_rounding_floor(abs_rows, norm1, z, p, active & ~done)
             z = np.where(active, z - corr, z)
             active &= ~done
         converged = ~active
         for _ in range(NEWTON_POLISH_STEPS):
-            step = _newton_ratio(coeff_rows, z)
+            step, _ = _newton_ratio(coeff_rows, z)
             ok = np.isfinite(step) & (np.abs(step) <= 1e-2 * (1.0 + np.abs(z)))
             z = z - np.where(ok, step, 0.0)
     return z, converged, sweeps
@@ -325,29 +362,8 @@ class SolveDiagnostics:
     cross_check_mismatches: int = 0
     warnings: tuple = field(default_factory=tuple)
 
-    @property
-    def count_mismatch(self) -> bool:
-        return self.cross_check_mismatches > 0
-
     def to_dict(self) -> dict:
         return {**asdict(self), "warnings": list(self.warnings)}
-
-
-def _poly_rows_at(f: IntPolynomial, var: int, value: complex) -> np.ndarray:
-    """Coefficients of f(., value) as a dense complex vector in x_var."""
-    other = 1 - var
-    m = max(exp[var] for exp, _ in f.terms)
-    by_power = {}
-    for exp, c in f.terms:
-        by_power.setdefault(exp[var], {})[exp[other]] = c
-    out = np.zeros(m + 1, dtype=complex)
-    for k, sub in by_power.items():
-        top = max(sub)
-        acc = 0j
-        for e in range(top, -1, -1):
-            acc = acc * value + sub.get(e, 0)
-        out[k] = acc
-    return out
 
 
 def _term_columns(f: IntPolynomial):
@@ -358,16 +374,17 @@ def _term_columns(f: IntPolynomial):
     return f.degree, coeffs, exps[:, 0], exps[:, 1], f.degree - exps.sum(axis=1)
 
 
-def _scaled_residuals(columns, sups, x: np.ndarray, y: complex) -> np.ndarray:
-    """max_i |f_i(x_k, y)| / (sup_i * s_k^deg_i), s_k = max(1, |x_k|, |y|).
+def _scaled_residuals(columns, sups, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """max_i |f_i(x_k, y_k)| / (sup_i * s_k^deg_i), s_k = max(1, |x_k|, |y_k|).
 
-    One value per candidate x_k, from `_term_columns` of each f_i.
+    One value per point (x_k, y_k), from `_term_columns` of each f_i.
     Evaluated as sum a_J (x/s)^j1 (y/s)^j2 s^(|J|-deg): every term is
     bounded by |a_J|, so far-out points cannot overflow.  Real-part
     products and libm pow and hypot, not numpy's vectorized complex
     multiply and power, round each term as a scalar Python loop does.
     """
-    s = np.maximum(np.maximum(np.hypot(x.real, x.imag), abs(y)), 1.0)
+    s = np.hypot(x.real, x.imag)
+    s = np.maximum(np.maximum(s, np.hypot(y.real, y.imag)), 1.0)
     xs, ys = np.empty_like(x), np.empty_like(x)
     xs.real, xs.imag = x.real / s, x.imag / s
     ys.real, ys.imag = y.real / s, y.imag / s
@@ -420,50 +437,150 @@ def solve_univariate_cycle(f: IntPolynomial):
     return cycle, diag
 
 
-def _candidate_pools(f: IntPolynomial, ys):
-    """Roots of f(., y) for every y in ys; batched when no degree drops.
+def _eliminant_roots(r, warnings):
+    """(distinct roots, multiplicities, Aberth sweeps) of the integer
+    polynomial r: the exact square-free structure first, so Aberth only
+    ever sees simple roots."""
+    roots, mults, sweeps = [], [], 0
+    if len(r) > 1:
+        for factor, mult in roots_structure(r):
+            res = roots_univariate(factor)
+            sweeps += res.sweeps
+            if not res.converged.all():
+                warnings.append(
+                    f"{int((~res.converged).sum())} eliminant roots unconverged"
+                )
+            roots.extend(res.roots)
+            mults.extend([mult] * len(res.roots))
+    return np.array(roots, dtype=complex), np.array(mults, dtype=int), sweeps
 
-    A row loses x-degree only when its leading value is exactly zero (the
-    leading x-coefficient of an exact input vanished at y); wide dynamic
-    range alone is not degeneracy, Aberth copes with it and the residual
-    filter polices the results.
+
+def _dense_coeffs(f: IntPolynomial) -> np.ndarray:
+    """f's coefficients as a (deg+1, deg+1) array, [a, b] for x^a y^b."""
+    out = np.zeros((f.degree + 1, f.degree + 1))
+    for (a, b), c in f.terms:
+        out[a, b] = float(c)
+    return out
+
+
+def _in_y(dense: np.ndarray, ypow: np.ndarray) -> np.ndarray:
+    """(K, deg+1) table of g_a(y_k) = sum_b dense[a, b] y_k^b."""
+    return (dense[None, :, :] * ypow[:, None, :]).sum(axis=2)
+
+
+def _pair_scores(dense, sups, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(len(ys), len(xs)) matrix of max_i |f_i(x_j, y_k)| / (sup_i * s^deg_i),
+    s = max(1, |x_j|, |y_k|): the scaled residual of every pairing.
+
+    f_i(x_j, y_k) = sum_a g_a(y_k) x_j^a, a loop of deg+1 outer products;
+    no matrix product (BLAS threads cost more than they save at this
+    size) and no (terms x ys x xs) array.  Far-out points whose powers
+    overflow score NaN and never pass.
     """
-    rows = np.stack([_poly_rows_at(f, 0, y) for y in ys])
-    healthy = rows[:, -1] != 0
-    pools = [[] for _ in ys]
-    sweeps = 0
-    if healthy.any():
-        z, _, sw = _aberth_batch(rows[healthy])
-        sweeps += sw
-        for pool_idx, roots in zip(np.nonzero(healthy)[0], z):
-            pools[pool_idx] = list(roots)
-    for i in np.nonzero(~healthy)[0]:
-        row = _trim_float(list(rows[i]))
-        if len(row) >= 2:
-            z, _, sw = _aberth_batch(np.array(row, dtype=complex)[None, :])
-            sweeps += sw
-            pools[i] = list(z[0])
-    return pools, sweeps
+    s = np.maximum(np.maximum.outer(np.abs(ys), np.abs(xs)), 1.0)
+    worst = np.zeros(s.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, sup in zip(dense, sups):
+            deg = c.shape[0] - 1
+            g = _in_y(c, np.vander(ys, deg + 1, increasing=True))
+            xpow = np.vander(xs, deg + 1, increasing=True)
+            val = np.zeros(s.shape, dtype=complex)
+            for a in range(deg + 1):
+                val += np.multiply.outer(g[:, a], xpow[:, a])
+            worst = np.maximum(worst, np.abs(val) / (sup * s**deg))
+    return worst
+
+
+def _greedy_pairs(scores: np.ndarray, ymults, xmults):
+    """Pair y roots with x roots, best score first.
+
+    Each y root k takes up to ymults[k] distinct x roots, each x root j
+    serves at most xmults[j] y roots, and only scores <= RESIDUAL_TOL
+    count.  A y root that finds fewer distinct partners than its
+    multiplicity (a tangential zero, or a multiple root shared by both
+    eliminants) stacks the rest on its partners that have multiplicity
+    left, best first, and only then on its best one.  Returns
+    ({(k, j): mult}, the x capacities left over, negative where stacking
+    overdrew one).
+    """
+    need = np.array(ymults, dtype=int)
+    cap = np.array(xmults, dtype=int)
+    passing = np.flatnonzero(scores <= RESIDUAL_TOL)
+    pairs, best = {}, {}
+    for flat in passing[np.argsort(scores.flat[passing], kind="stable")]:
+        k, j = divmod(int(flat), len(cap))
+        if need[k] and cap[j]:
+            pairs[k, j] = 1
+            best.setdefault(k, j)
+            need[k] -= 1
+            cap[j] -= 1
+    for k, j in list(pairs):
+        take = int(min(need[k], cap[j]))
+        pairs[k, j] += take
+        need[k] -= take
+        cap[j] -= take
+    for k, j in best.items():
+        pairs[k, j] += int(need[k])
+        cap[j] -= need[k]
+    return pairs, cap
+
+
+def _values_and_partials(dense: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """(f, df/dx, df/dy) at the points (x_k, y_k)."""
+    deg = dense.shape[0] - 1
+    up = np.arange(1, deg + 1)
+    xpow = np.vander(x, deg + 1, increasing=True)
+    ypow = np.vander(y, deg + 1, increasing=True)
+    g = _in_y(dense, ypow)
+    gy = _in_y(dense[:, 1:] * up, ypow[:, :-1])
+    f = (xpow * g).sum(axis=1)
+    fx = (xpow[:, :-1] * up * g[:, 1:]).sum(axis=1)
+    fy = (xpow * gy).sum(axis=1)
+    return f, fx, fy
+
+
+def _newton_2x2(dense, x: np.ndarray, y: np.ndarray):
+    """NEWTON_PAIR_STEPS Newton steps on (f1, f2) from the points (x, y).
+
+    A point whose Jacobian is singular up to JACOBIAN_FLOOR (a tangential
+    zero) or whose step is not small stays where it is.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(NEWTON_PAIR_STEPS):
+            (f, fx, fy), (g, gx, gy) = (_values_and_partials(c, x, y) for c in dense)
+            a, b = fx * gy, fy * gx
+            det = a - b
+            dx = (f * gy - g * fy) / det
+            dy = (fx * g - gx * f) / det
+            ok = np.abs(det) > JACOBIAN_FLOOR * (np.abs(a) + np.abs(b))
+            ok &= np.isfinite(dx) & np.isfinite(dy)
+            ok &= np.abs(dx) <= 1e-2 * (1.0 + np.abs(x))
+            ok &= np.abs(dy) <= 1e-2 * (1.0 + np.abs(y))
+            x = x - np.where(ok, dx, 0.0)
+            y = y - np.where(ok, dy, 0.0)
+    return x, y
 
 
 def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
     """All isolated solutions of f1 = f2 = 0 as a ZeroCycle.
 
-    Eliminates x for the y coordinates, back-substitutes for x, filters by
-    scaled residuals on both polynomials, clusters multiplicities, and
-    cross-validates against the y-elimination.  Raises NonIsolatedError on
-    an identically zero eliminant.  Mismatches between the two
-    eliminations are counted in the diagnostics, never dropped silently.
+    The roots of Res_x (the y coordinates) and of Res_y (the x
+    coordinates), with their exact multiplicities, are paired by the
+    scaled residual on both polynomials, best first, and polished by
+    Newton steps on (f1, f2); there is no back-substitution.  A y root
+    with no x partner under RESIDUAL_TOL counts in `dropped`, x
+    multiplicity left unpaired (or overdrawn by stacking) in
+    `cross_check_mismatches`.  Raises NonIsolatedError when either
+    eliminant vanishes identically.
 
     Desk scale: total degrees up to ~12 per input (eliminant degree 144);
     beyond that the exact interpolation cost dominates.
     """
     ry = eliminant_bivariate(f1, f2, "x")  # polynomial in y
-    if not ry:
+    rx = eliminant_bivariate(f1, f2, "y")  # polynomial in x
+    if not ry or not rx:
         raise NonIsolatedError("zero eliminant: the system has a shared factor")
-    rx = eliminant_bivariate(f1, f2, "y")  # polynomial in x, for cross-check
     expected = int(mixed_volume([newton_polytope(f1), newton_polytope(f2)]))
-    warnings = []
     if len(ry) == 1:
         diag = SolveDiagnostics(
             eliminant_degree=0,
@@ -476,122 +593,40 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
         )
         return ZeroCycle(2, (), RESIDUAL_TOL), diag
 
-    # exact multiplicity structure first: Aberth only ever sees simple roots
-    clusters = []
-    elim_sweeps = 0
-    for factor, mult in roots_structure(ry):
-        fres = roots_univariate(factor)
-        elim_sweeps += fres.sweeps
-        if not fres.converged.all():
-            warnings.append(
-                f"{int((~fres.converged).sum())} eliminant roots unconverged"
-            )
-        clusters.extend((complex(z), mult) for z in fres.roots)
-    clusters.sort(key=lambda t: (t[0].real, t[0].imag))
-    ys = [y for y, _ in clusters]
+    warnings = []
+    ys, ymults, ysweeps = _eliminant_roots(ry, warnings)
+    xs, xmults, xsweeps = _eliminant_roots(rx, warnings)
     sups = [float(sup_norm_upper(f1)), float(sup_norm_upper(f2))]
-    columns = [_term_columns(f1), _term_columns(f2)]
+    dense = [_dense_coeffs(f1), _dense_coeffs(f2)]
+    pairs, cap = _greedy_pairs(_pair_scores(dense, sups, xs, ys), ymults, xmults)
 
-    pools1, sw1 = _candidate_pools(f1, ys)
-    iterations = elim_sweeps + sw1
-    pools2 = None  # computed lazily; f1 roots almost always suffice
-
-    points = []
+    paired = {k for k, _ in pairs}
     dropped = 0
-    for idx, (ystar, mult) in enumerate(clusters):
-        pool = list(pools1[idx])
-        for attempt in range(2):
-            cands = [x for x, _ in cluster_values(pool, [1] * len(pool))]
-            resid = _scaled_residuals(
-                columns, sups, np.array(cands, dtype=complex), ystar
-            )
-            passing = [
-                (float(resid[i]), cands[i])
-                for i in np.argsort(resid, kind="stable")
-                if resid[i] <= RESIDUAL_TOL
-            ]
-            if passing or attempt == 1:
-                break
-            if pools2 is None:
-                pools2, sw2 = _candidate_pools(f2, ys)
-                iterations += sw2
-            pool = pool + list(pools2[idx])
-        if not passing:
-            dropped += mult
-            warnings.append(
-                f"no candidate above y={ystar:.6g} passed the residual filter"
-            )
-            continue
-        take = passing[:mult]
-        if len(take) == mult:
-            for r, x in take:
-                points.append(CyclePoint((x, ystar), 1, r))
-        else:
-            # fewer distinct x's than the eliminant multiplicity: stack the
-            # remainder on the best candidate (tangency / collision case)
-            extra = mult - len(take)
-            r0, x0 = take[0]
-            points.append(CyclePoint((x0, ystar), 1 + extra, r0))
-            for r, x in take[1:]:
-                points.append(CyclePoint((x, ystar), 1, r))
-
-    points.sort(
-        key=lambda p: (
-            p.coords[0].real,
-            p.coords[0].imag,
-            p.coords[1].real,
-            p.coords[1].imag,
-        )
-    )
-    max_residual = max((p.residual for p in points), default=0.0)
-
-    # cross-validation: emitted x coordinates against the y-elimination
-    mismatches = 0
-    if len(rx) > 1:
-        expected_x = []
-        for factor, mult in roots_structure(rx):
-            fres = roots_univariate(factor)
-            expected_x.extend(list(fres.roots) * mult)
-        got_x = []
-        for p in points:
-            got_x.extend([p.coords[0]] * p.mult)
-        tol = max(1e-5, 100 * CLUSTER_RADIUS)
-        mismatches = _unmatched_count(expected_x, got_x, tol)
-    elif points:
-        mismatches = len(points)  # y-elimination says no solutions at all
+    for k in range(len(ys)):
+        if k not in paired:
+            dropped += int(ymults[k])
+            warnings.append(f"y={ys[k]:.6g} has no x partner under the residual filter")
+    ks = np.array([k for k, _ in pairs], dtype=int)
+    js = np.array([j for _, j in pairs], dtype=int)
+    x, y = _newton_2x2(dense, xs[js], ys[ks])
+    resid = _scaled_residuals([_term_columns(f1), _term_columns(f2)], sups, x, y)
+    mults = list(pairs.values())
+    points = [
+        CyclePoint((complex(x[i]), complex(y[i])), mults[i], float(resid[i]))
+        for i in np.lexsort((y.imag, y.real, x.imag, x.real))
+    ]
 
     cycle = ZeroCycle(dim=2, points=tuple(points), residual_threshold=RESIDUAL_TOL)
     diag = SolveDiagnostics(
         eliminant_degree=len(ry) - 1,
-        iterations=iterations,
-        max_residual=max_residual,
+        iterations=ysweeps + xsweeps,
+        max_residual=max((p.residual for p in points), default=0.0),
         clustering_radius=CLUSTER_RADIUS,
         residual_threshold=RESIDUAL_TOL,
         count_expected=expected,
         count_found=cycle.degree,
         dropped=dropped,
-        cross_check_mismatches=mismatches,
+        cross_check_mismatches=int(np.abs(cap).sum()),
         warnings=tuple(warnings),
     )
     return cycle, diag
-
-
-def _unmatched_count(expected, got, tol) -> int:
-    """How many of `expected` lack a distinct partner in `got` within
-    tol*(1+|value|), greedy nearest matching, plus any count imbalance."""
-    if not expected and not got:
-        return 0
-    mism = abs(len(expected) - len(got))
-    if not expected or not got:
-        return max(mism, len(expected), len(got))
-    gv = np.asarray(got, dtype=complex)
-    used = np.zeros(len(got), dtype=bool)
-    for a in expected:
-        d = np.abs(gv - a)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        if d[j] <= tol * (1.0 + abs(a)):
-            used[j] = True
-        else:
-            mism += 1
-    return mism

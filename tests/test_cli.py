@@ -114,6 +114,32 @@ def test_experiment_rejects_non_integer_inputs(tmp_path, capsys):
     assert not (tmp_path / "trials_n1_d10.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "probe",
+    [
+        {"radial": [[False, 0.3]], "angular": [[-3.0, 3.0]]},
+        {"radial": [[0.0, "0.3"]], "angular": [[-3.0, 3.0]]},
+        {"radial": [[0.0, None]], "angular": [["-3.14", 3.0]]},
+        {"radial": [[0.0, None]], "angular": [[-3.0, True]]},
+        {"radial": [[None, 0.3]], "angular": [[-3.0, 3.0]]},
+    ],
+)
+def test_experiment_rejects_non_numeric_box_bounds(tmp_path, capsys, probe):
+    cfg = {
+        "n": 1,
+        "degrees": [10],
+        "trials_per_degree": 1,
+        "box_probes": [probe],
+        "out_dir": str(tmp_path / "r"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["experiment", "--config", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "r").exists()
+
+
 def test_io_error_exit_code(capsys):
     rc = main(["report", "/nonexistent-dir-xyz"])
     assert rc == 4

@@ -11,8 +11,6 @@ from polytorus.polynomials import (
     PolynomialError,
     coefficient_signs,
     directed_polynomial,
-    evaluate,
-    homogenize,
     newton_polytope,
     sample_bernoulli_system,
     sup_norm_upper,
@@ -72,24 +70,7 @@ def test_streams_differ_across_polys_and_trials():
 
 
 # ---------------------------------------------------------------------------
-# evaluation / support / homogenization
-
-
-def test_evaluate_examples():
-    f = poly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
-    assert evaluate(f, (1, 1)) == 3
-    g = poly(1, {(2,): 1, (0,): -1})
-    assert evaluate(g, (1j,)) == -2
-    n, d = 2, 3
-    s = sample_bernoulli_system(n, d, 1, 0)
-    allones = poly(n, {e: 1 for e in support(s.polys[0])})
-    assert evaluate(allones, (1, 1)) == math.comb(n + d, n)
-
-
-def test_evaluate_dimension_mismatch():
-    f = poly(2, {(1, 0): 1})
-    with pytest.raises(PolynomialError):
-        evaluate(f, (1,))
+# support
 
 
 def test_support_examples():
@@ -101,30 +82,6 @@ def test_support_examples():
     assert support(g) == ((3,),)
     with pytest.raises(PolynomialError):
         support(poly(1, {}))
-
-
-def test_homogenize_examples():
-    f = poly(1, {(0,): 1, (1,): 1})
-    h = homogenize(f, 1)
-    assert h.coeff_map == {(1, 0): 1, (0, 1): 1}
-    f2 = poly(2, {(0, 0): 1, (1, 0): 1, (0, 2): 1})
-    h2 = homogenize(f2, 2)
-    assert h2.coeff_map == {(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 2): 1}
-    with pytest.raises(PolynomialError):
-        homogenize(f2, 1)
-
-
-@given(st.integers(0, 2**32), st.integers(1, 4))
-@settings(max_examples=25, deadline=None)
-def test_homogenize_identity_random(seed, d):
-    s = sample_bernoulli_system(2, d, seed, 0)
-    f = s.polys[0]
-    h = homogenize(f, d)
-    rng = random.Random(seed)
-    x = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
-    lhs = evaluate(h, (1,) + x)
-    rhs = evaluate(f, x)
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 # ---------------------------------------------------------------------------

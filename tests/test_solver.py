@@ -14,7 +14,11 @@ from polytorus.polynomials import (
     sample_bernoulli_system,
     sup_norm_upper,
 )
-from polytorus.resultants import classify_exceptional
+from polytorus.resultants import (
+    classify_exceptional,
+    eliminant_bivariate,
+    roots_structure,
+)
 from polytorus.solver import (
     NonIsolatedError,
     SolverError,
@@ -100,6 +104,73 @@ def test_conjugation_symmetry(seed):
         assert any(abs(np.conj(z) - w) < 1e-7 * max(1, abs(z)) for w in roots)
 
 
+def _reference_error_bound(abs_coeffs, z):
+    """sum_j |a_j| |v|^j on the side of the unit circle where z lies."""
+    if abs(z) > 1.0:
+        z, abs_coeffs = 1.0 / z, abs_coeffs[::-1]
+    return sum(a * abs(z) ** j for j, a in enumerate(abs_coeffs))
+
+
+def test_floor_stop_ends_ill_conditioned_batch(monkeypatch):
+    # Res_y of this d=10 trial is square-free of degree 100; stopped by
+    # the Aberth correction alone it ran all 200 sweeps and left 2 roots
+    # flagged unconverged
+    s = sample_bernoulli_system(2, 10, 1, 13)
+    ((factor, mult),) = roots_structure(eliminant_bivariate(*s.polys, "y"))
+    assert (mult, len(factor) - 1) == (1, 100)
+    calls = []
+    floor_test = solver._at_rounding_floor
+
+    def spy(abs_rows, norm1, z, p, cand):
+        got = floor_test(abs_rows, norm1, z, p, cand)
+        calls.append((abs_rows, z.copy(), p.copy(), cand.copy(), got.copy()))
+        return got
+
+    monkeypatch.setattr(solver, "_at_rounding_floor", spy)
+    res = roots_univariate(factor)
+    assert res.sweeps < solver.ABERTH_MAX_SWEEPS
+    assert res.converged.all()
+    stopped = 0
+    for abs_rows, z, p, cand, got in calls:
+        assert not (got & ~cand).any()
+        for r, k in zip(*np.nonzero(cand)):
+            bound = _reference_error_bound(abs_rows[r], z[r, k])
+            assert got[r, k] == (abs(p[r, k]) <= 4 * 2.0**-53 * bound)
+        stopped += int(got.sum())
+    assert stopped > 0
+
+
+@pytest.mark.parametrize("deg", [1, 5, 30])
+def test_rounding_floor_predicate_matches_scalar_bound(deg):
+    rng = np.random.default_rng(deg)
+    abs_rows = np.abs(rng.standard_normal((3, deg + 1))) * 10.0 ** rng.uniform(
+        -3, 3, (3, deg + 1)
+    )
+    z = np.stack([_far_candidates(rng, 8) for _ in range(3)])
+    bound = np.array(
+        [[_reference_error_bound(a, zk) for zk in row] for a, row in zip(abs_rows, z)]
+    )
+    side = rng.choice([0.99, 1.01], z.shape)  # just under or just over
+    p = side * 4 * 2.0**-53 * bound * np.exp(1j * rng.uniform(0, 6, z.shape))
+    cand = rng.random(z.shape) < 0.8
+    got = solver._at_rounding_floor(abs_rows, abs_rows.sum(axis=1), z, p, cand)
+    assert np.array_equal(got, cand & (side < 1))
+
+
+def test_floor_stop_keeps_well_conditioned_roots(monkeypatch):
+    d = 64
+    coeffs = [-1] + [0] * (d - 1) + [1]
+    res = roots_univariate(coeffs)
+    assert res.converged.all()
+    exact = np.exp(2j * np.pi * np.arange(d) / d)
+    assert all(np.min(np.abs(exact - z)) <= 1e-13 for z in res.roots)
+    monkeypatch.setattr(
+        solver, "_at_rounding_floor", lambda abs_rows, norm1, z, p, cand: cand & False
+    )
+    tol_only = roots_univariate(coeffs)
+    assert np.max(np.abs(res.roots - tol_only.roots)) <= 1e-13
+
+
 def test_cluster_values_merges_and_keeps_mass():
     vals = [1.0 + 0j, 1.0 + 1e-9j, 2.0 + 0j, 2.0 + 1e-9j, 5.0 + 0j]
     merged = cluster_values(vals, [1] * 5, radius=1e-7)
@@ -147,6 +218,14 @@ def test_shared_factor_raises():
         solve_bivariate(f1, f1)
 
 
+def test_shared_factor_in_y_raises():
+    # (y-1)x and (y-1)(x+1): Res_x = (y-1)^2 is not zero, but Res_y is
+    f1 = poly(2, {(1, 1): 1, (1, 0): -1})
+    f2 = poly(2, {(1, 1): 1, (0, 1): 1, (1, 0): -1, (0, 0): -1})
+    with pytest.raises(NonIsolatedError):
+        solve_bivariate(f1, f2)
+
+
 def test_bernoulli_d4_count():
     # first non-exceptional sampled system has exactly 16 isolated zeros
     t = 0
@@ -181,6 +260,103 @@ def test_tangential_double_point_multiplicity():
     (p,) = cycle.points
     assert p.mult == 2
     assert abs(p.coords[0] - 1) < 1e-8 and abs(p.coords[1] - 1) < 1e-8
+
+
+def _swap(f):
+    return poly(2, {(b, a): c for (a, b), c in f.terms})
+
+
+def test_multiplicity_shared_x_coordinate():
+    # the variable swap of the shared-y trial: four zeros above x = -1, so
+    # one x root of multiplicity 4 pairs with four distinct y roots
+    s = sample_bernoulli_system(2, 4, 1, 16)
+    cycle, diag = solve_bivariate(*(_swap(f) for f in s.polys))
+    assert cycle.degree == 16
+    assert diag.dropped == 0 and diag.cross_check_mismatches == 0
+    near = [p for p in cycle.points if abs(p.coords[0] + 1) < 1e-8]
+    assert sum(p.mult for p in near) == 4
+    assert len(near) == 4
+
+
+def test_collisions_on_both_axes_pair_every_combination():
+    # (x-1)(x-2) = (y-1)(y-2) = 0: both eliminants are squares, and each
+    # double y root must take two distinct x roots, not one twice
+    f1 = poly(2, {(2, 0): 1, (1, 0): -3, (0, 0): 2})
+    f2 = poly(2, {(0, 2): 1, (0, 1): -3, (0, 0): 2})
+    cycle, diag = solve_bivariate(f1, f2)
+    got = sorted(
+        (round(p.coords[0].real, 9), round(p.coords[1].real, 9), p.mult)
+        for p in cycle.points
+    )
+    assert got == [(1.0, 1.0, 1), (1.0, 2.0, 1), (2.0, 1.0, 1), (2.0, 2.0, 1)]
+    assert diag.dropped == 0 and diag.cross_check_mismatches == 0
+
+
+def test_stacked_multiplicity_lands_where_both_eliminants_agree():
+    # zeros (-1,-1), (-1,1), (1,-1) of total multiplicity 4: Res_x is
+    # (y-1)(y+1)^3 and Res_y is (x^2-1)^2, so only (1,-1) can be double
+    s = sample_bernoulli_system(2, 2, 1, 85)
+    assert not classify_exceptional(s).exceptional
+    cycle, diag = solve_bivariate(*s.polys)
+    got = sorted(
+        (round(p.coords[0].real, 9), round(p.coords[1].real, 9), p.mult)
+        for p in cycle.points
+    )
+    assert got == [(-1.0, -1.0, 1), (-1.0, 1.0, 1), (1.0, -1.0, 2)]
+    assert diag.dropped == 0 and diag.cross_check_mismatches == 0
+
+
+@pytest.mark.parametrize("d,seed", [(4, 2), (5, 3), (6, 4), (7, 5), (8, 6)])
+def test_swapped_variables_give_swapped_points(d, seed):
+    t = 0
+    while classify_exceptional(sample_bernoulli_system(2, d, seed, t)).exceptional:
+        t += 1
+    polys = sample_bernoulli_system(2, d, seed, t).polys
+    cycle, diag = solve_bivariate(*polys)
+    swapped, sdiag = solve_bivariate(*(_swap(f) for f in polys))
+    assert sdiag.count_found == diag.count_found == d * d
+    left = list(swapped.points)
+    for p in cycle.points:
+        want = np.array(p.coords[::-1])
+        gaps = [
+            np.max(np.abs(np.array(q.coords) - want) / np.maximum(1, np.abs(want)))
+            for q in left
+        ]
+        q = left.pop(int(np.argmin(gaps)))
+        assert min(gaps) <= 1e-9 and q.mult == p.mult
+    assert not left
+
+
+def test_zeros_at_infinity_are_counted_not_paired():
+    # xy = 1 and xy = 2 share no finite zero; both eliminants vanish at 0
+    f1 = poly(2, {(1, 1): 1, (0, 0): -1})
+    f2 = poly(2, {(1, 1): 1, (0, 0): -2})
+    cycle, diag = solve_bivariate(f1, f2)
+    assert cycle.degree == 0
+    assert diag.dropped == 1 and diag.cross_check_mismatches == 1
+
+
+def test_greedy_pairs_respects_x_multiplicity():
+    # y1's best x is already taken by y0; it must fall back to its second
+    scores = np.array([[0.0, 1e-9], [1e-10, 1e-8]])
+    pairs, left = solver._greedy_pairs(scores, [1, 1], [1, 1])
+    assert pairs == {(0, 0): 1, (1, 1): 1} and list(left) == [0, 0]
+    # a double y root with one passing x stacks on it, overdrawing a simple
+    # x root; a y root with no passing x is left out
+    scores = np.array([[0.0, 1.0], [1.0, 1.0]])
+    pairs, left = solver._greedy_pairs(scores, [2, 1], [1, 1])
+    assert pairs == {(0, 0): 2} and list(left) == [-1, 1]
+
+
+def test_newton_2x2_converges_from_perturbed_zeros():
+    f1 = poly(2, {(2, 0): 1, (0, 2): 1, (0, 0): -5})
+    f2 = poly(2, {(1, 1): 1, (0, 0): -2})
+    dense = [solver._dense_coeffs(f1), solver._dense_coeffs(f2)]
+    x = np.array([1.0, 2.0, -1.0, -2.0]) * (1 + 1e-6) + 1e-7j
+    y = np.array([2.0, 1.0, -2.0, -1.0]) * (1 - 1e-6)
+    x, y = solver._newton_2x2(dense, x, y)
+    assert np.max(np.abs(x - [1, 2, -1, -2])) <= 1e-12
+    assert np.max(np.abs(y - [2, 1, -2, -1])) <= 1e-12
 
 
 def test_residual_threshold_respected():
@@ -275,8 +451,8 @@ def _reference_scaled_residual(polys, sups, x, y):
 
 
 def _reference_newton_ratio(coeff_rows, z):
-    """p/p' by two full Horner passes, direct at z and reversed at 1/z,
-    selected per point afterwards."""
+    """(p/p', value) by two full Horner passes, direct at z and reversed
+    at 1/z, selected per point afterwards."""
 
     def horner(rows, at):
         deg = rows.shape[1] - 1
@@ -295,7 +471,7 @@ def _reference_newton_ratio(coeff_rows, z):
     q, dq = horner(coeff_rows[:, ::-1], u)
     denom = deg * q - u * dq
     w_out = z * q / np.where(denom == 0, 1e-300, denom)
-    return np.where(outside, w_out, w)
+    return np.where(outside, w_out, w), np.where(outside, q, p)
 
 
 def _far_candidates(rng, k):
@@ -312,10 +488,13 @@ def test_residual_kernel_matches_scalar_loop():
         polys = sample_bernoulli_system(2, d, seed, 0).polys
         sups = [float(sup_norm_upper(f)) for f in polys]
         columns = [solver._term_columns(f) for f in polys]
-        xs = _far_candidates(rng, 12)
-        for y in _far_candidates(rng, 3):
-            got = solver._scaled_residuals(columns, sups, xs, y)
-            want = [_reference_scaled_residual(polys, sups, x, y) for x in xs]
+        for _ in range(3):
+            xs = _far_candidates(rng, 12)
+            ys = rng.permutation(_far_candidates(rng, 12))
+            got = solver._scaled_residuals(columns, sups, xs, ys)
+            want = [
+                _reference_scaled_residual(polys, sups, x, y) for x, y in zip(xs, ys)
+            ]
             assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -328,9 +507,10 @@ def test_one_pass_newton_ratio_equals_two_pass(rows, deg):
     z = np.stack([_far_candidates(rng, 2 * deg) for _ in range(rows)])
     z[:, 0] = 10.0 ** rng.uniform(-3, 3, rows)  # near the iteration's range
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _reference_newton_ratio(coeff_rows, z)
-        got = solver._newton_ratio(coeff_rows, z)
-    assert np.array_equal(got, want)
+        want_w, want_p = _reference_newton_ratio(coeff_rows, z)
+        got_w, got_p = solver._newton_ratio(coeff_rows, z)
+    assert np.array_equal(got_w, want_w)
+    assert np.array_equal(got_p, want_p)
 
 
 @pytest.mark.parametrize("d,seed", [(4, 3), (5, 11), (6, 5), (7, 2), (8, 1)])
@@ -342,7 +522,9 @@ def test_solve_bivariate_matches_reference_kernels(monkeypatch, d, seed):
     cycle, diag = solve_bivariate(*polys)
 
     def scalar_residuals(columns, sups, x, y):
-        return np.array([_reference_scaled_residual(polys, sups, xk, y) for xk in x])
+        return np.array(
+            [_reference_scaled_residual(polys, sups, xk, yk) for xk, yk in zip(x, y)]
+        )
 
     monkeypatch.setattr(solver, "_scaled_residuals", scalar_residuals)
     monkeypatch.setattr(solver, "_newton_ratio", _reference_newton_ratio)
