@@ -56,7 +56,6 @@ from .resultants import (
     directional_resultant,
     eliminant_bivariate,
     resultant_univariate,
-    sylvester_matrix,
 )
 from .solver import (
     SolveDiagnostics,

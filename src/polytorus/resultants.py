@@ -3,15 +3,22 @@
 Univariate polynomials are plain low-to-high coefficient lists of Python
 ints (no trailing zeros).  The resultant of two such polynomials is the
 determinant of the classical Sylvester matrix, rows of the first
-polynomial on top; the fast path computes it with a subresultant
-polynomial remainder sequence (no fractions, no coefficient blowup), the
-slow path with fraction-free Bareiss elimination on the matrix itself.
-Both routes are exact; tests pin them against each other.
+polynomial on top, computed with a subresultant polynomial remainder
+sequence (no fractions, no coefficient blowup); tests pin it against a
+fraction-free Bareiss determinant of the matrix itself.
 
 Bivariate eliminants Res_x(f1, f2)(y) are recovered by evaluating the
-resultant at enough consecutive integer values of y and interpolating
-with exact finite differences; the interpolation asserts integrality of
-every coefficient as a self-check.
+resultant at enough consecutive integer values of y and interpolating.
+Where a leading coefficient vanishes at a node, the formal-degree
+identity scales the resultant of the actual degrees.  The interpolation
+takes forward differences, divides the k-th by k! to get the Newton
+coefficients and expands the Newton form by Horner's rule, every
+multiplier a small node.  The Newton coefficients are all integers
+exactly when the interpolant has integer coefficients, so their exact
+division is the integrality self-check.
+
+Square-free structure is certified by Euclid on int64 vectors modulo
+the prime 2^31 - 1; a "maybe" falls back to exact Yun decomposition.
 
 On top of these sit the directional resultants of a system (faces of the
 supports translated into the orthogonal lattice line) and the
@@ -23,6 +30,8 @@ vanishing coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .lattice import convex_hull, facet_normals, minkowski_sum, primitive_vector
 from .polynomials import (
@@ -60,65 +69,6 @@ def trim(coeffs) -> list:
 
 def degree(coeffs) -> int:
     return len(trim(coeffs)) - 1
-
-
-# ---------------------------------------------------------------------------
-# Sylvester matrix and Bareiss determinant
-
-
-def sylvester_matrix(f, g, formal_deg_f=None, formal_deg_g=None):
-    """Classical Sylvester matrix, rows of f first, coefficients high to low.
-
-    Formal degrees may exceed the actual ones; the extra top coefficients
-    are stored as zeros.  This matches homogenized behavior at nodes where
-    leading coefficients vanish.
-    """
-    f = list(f)
-    g = list(g)
-    m = degree(f) if formal_deg_f is None else formal_deg_f
-    n = degree(g) if formal_deg_g is None else formal_deg_g
-    if m < 0 or n < 0:
-        raise ResultantError("Sylvester matrix of the zero polynomial")
-    if m == 0 and n == 0:
-        raise ResultantError("Sylvester matrix needs a nonconstant polynomial")
-    if degree(f) > m or degree(g) > n:
-        raise ResultantError("formal degree below actual degree")
-    size = m + n
-    frow = [(f[m - j] if m - j < len(f) else 0) for j in range(m + 1)]
-    grow = [(g[n - j] if n - j < len(g) else 0) for j in range(n + 1)]
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + frow + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + grow + [0] * (size - n - 1 - i))
-    return rows
-
-
-def det_bareiss(matrix) -> int:
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise ComputationError("Bareiss division was not exact")
-                m[i][j] = q
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +152,7 @@ def _resultant_prs(a, b) -> int:
 
 
 def resultant_univariate(f, g) -> int:
-    """Exact resultant; sign matches det(sylvester_matrix(f, g)).
+    """Exact resultant; sign matches the Sylvester determinant, f on top.
 
     Constants are allowed: Res(c, g) = c^deg(g).  A zero polynomial
     against a nonconstant one gives 0 (a common root always exists);
@@ -293,31 +243,35 @@ def poly_gcd(a, b):
     return [1] if b else poly_primitive(a)
 
 
-_SQFREE_PRIME = (1 << 61) - 1  # Mersenne prime, used for the fast certificate
+# Mersenne prime of the certificate; residues below it keep every
+# a - c*b of `_gcd_degree_mod` inside int64: (p-1)^2 + p < 2^63
+_SQFREE_PRIME = (1 << 31) - 1
 
 
 def _gcd_degree_mod(a, b, p) -> int:
-    """Degree of gcd(a, b) over F_p, or None when the reduction is unusable."""
-    am = [c % p for c in a]
-    bm = [c % p for c in b]
-    if not am or am[-1] == 0 or not bm or bm[-1] == 0:
+    """Degree of gcd(a, b) over F_p, or None when the reduction is unusable.
+
+    Euclid on int64 vectors: the divisor is made monic, then each leading
+    term of the dividend is cancelled by one vector update."""
+    am = np.array([c % p for c in a], dtype=np.int64)
+    bm = np.array([c % p for c in b], dtype=np.int64)
+    if not am.size or am[-1] == 0 or not bm.size or bm[-1] == 0:
         return None
     while True:
-        while bm and bm[-1] == 0:
-            bm.pop()
-        if not bm:
-            return len(am) - 1
-        inv = pow(bm[-1], p - 2, p)
-        da, db = len(am) - 1, len(bm) - 1
-        if da < db:
+        while bm.size and bm[-1] == 0:
+            bm = bm[:-1]
+        if not bm.size:
+            return am.size - 1
+        if am.size < bm.size:
             am, bm = bm, am
             continue
-        for k in range(da - db, -1, -1):
-            c = am[db + k] * inv % p
+        bm = bm * pow(int(bm[-1]), p - 2, p) % p
+        db = bm.size - 1
+        for k in range(am.size - bm.size, -1, -1):
+            c = am[db + k]
             if c:
-                for j in range(db + 1):
-                    am[k + j] = (am[k + j] - c * bm[j]) % p
-        am, bm = bm, [c for c in am[: db]]
+                am[k : k + db + 1] = (am[k : k + db + 1] - c * bm) % p
+        am, bm = bm, am[:db]
 
 
 def is_squarefree_certified(p) -> bool:
@@ -409,48 +363,60 @@ def _eval_int(coeffs, x: int) -> int:
 def _interpolate_integers(lo: int, values) -> list:
     """The unique integer polynomial through (lo+i, values[i]).
 
-    Newton forward differences on consecutive integer nodes; the final
-    division by D! must be exact, anything else is a bug upstream.
+    Newton form on the consecutive nodes x_k = lo + k: the coefficient
+    c_k = Δ^k p(lo) / k! is an integer for every k exactly when p has
+    integer coefficients, so an inexact division means a bug upstream.
+    Horner's rule acc <- acc * (y - x_k) + c_k then expands the form
+    with small-integer multipliers.
     """
-    dmax = len(values) - 1
-    diffs = [values[0]]
     row = list(values)
-    for _ in range(dmax):
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-        diffs.append(row[0])
+    newton = [row[0]]
     fact = 1
-    for k in range(2, dmax + 1):
+    for k in range(1, len(row)):
+        row = [b - a for a, b in zip(row, row[1:])]
         fact *= k
-    acc = [0] * (dmax + 1)
-    basis = [1]
-    scale = fact  # fact / k!, updated as k grows
-    for k in range(dmax + 1):
-        if diffs[k]:
-            mult = diffs[k] * scale
-            for j, bc in enumerate(basis):
-                acc[j] += mult * bc
-        root = lo + k
-        basis = [0] + basis
-        for j in range(len(basis) - 1):
-            basis[j] -= root * basis[j + 1]
-        scale //= k + 1
-    out = []
-    for a in acc:
-        q, r = divmod(a, fact)
+        c, r = divmod(row[0], fact)
         if r:
             raise ComputationError("eliminant interpolation gave a non-integer")
-        out.append(q)
-    return trim(out)
+        newton.append(c)
+    acc = [newton[-1]]
+    for k in range(len(newton) - 2, -1, -1):
+        node = lo + k
+        acc = [s - node * a for s, a in zip([newton[k]] + acc, acc)] + [acc[-1]]
+    return trim(acc)
+
+
+def _formal_resultant(c1, c2, m1: int, m2: int) -> int:
+    """Sylvester determinant of c1, c2 at formal degrees m1, m2, not both 0.
+
+    Where a leading coefficient vanishes, the formal-degree identity
+    scales the resultant of the actual degrees: deg c1 = k < m1 gives
+    (-1)^((m1-k) m2) lc(c2)^(m1-k) Res(c1, c2), deg c2 = k < m2 gives
+    lc(c1)^(m2-k) Res(c1, c2), and both short give 0.
+    """
+    if m2 == 0:
+        return c2[0] ** m1  # the matrix is c2[0] times the identity
+    if m1 == 0:
+        return c1[0] ** m2
+    t1, t2 = trim(c1), trim(c2)
+    k1, k2 = len(t1) - 1, len(t2) - 1
+    if k1 < 0 or k2 < 0 or (k1 < m1 and k2 < m2):
+        return 0  # a zero row, or a zero first column
+    if k1 < m1:
+        sign = -1 if (m1 - k1) * m2 & 1 else 1
+        return sign * t2[-1] ** (m1 - k1) * resultant_univariate(t1, t2)
+    return t1[-1] ** (m2 - k2) * resultant_univariate(t1, t2)
 
 
 def eliminant_bivariate(f1: IntPolynomial, f2: IntPolynomial, eliminate) -> list:
     """Res_{x_k}(f1, f2) as an exact integer polynomial in the other variable.
 
     `eliminate` is "x"/0 or "y"/1.  Evaluation at consecutive integer
-    nodes plus exact interpolation; at nodes where a leading coefficient
-    vanishes the formal-size Sylvester determinant is used, which matches
-    the polynomial determinant evaluated there.  Returns [] when the
-    eliminant is identically zero (shared factor / non-isolated zeros).
+    nodes plus exact interpolation; every node takes the formal-size
+    Sylvester determinant, which matches the polynomial determinant
+    evaluated there, also where a leading coefficient vanishes.  Returns
+    [] when the eliminant is identically zero (shared factor /
+    non-isolated zeros).
     """
     var = {"x": 0, "y": 1, 0: 0, 1: 1}.get(eliminate)
     if var is None:
@@ -473,10 +439,7 @@ def eliminant_bivariate(f1: IntPolynomial, f2: IntPolynomial, eliminate) -> list
     for k in range(lo, lo + bound + 1):
         c1 = [_eval_int(r, k) for r in rows1]
         c2 = [_eval_int(r, k) for r in rows2]
-        if c1[m1] != 0 and c2[m2] != 0:
-            values.append(resultant_univariate(c1, c2))
-        else:
-            values.append(det_bareiss(sylvester_matrix(c1, c2, m1, m2)))
+        values.append(_formal_resultant(c1, c2, m1, m2))
     return _interpolate_integers(lo, values)
 
 

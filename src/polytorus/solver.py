@@ -354,7 +354,7 @@ class SolveDiagnostics:
     eliminant_degree: int
     iterations: int
     max_residual: float
-    clustering_radius: float
+    clustering_radius: float | None  # None where nothing is clustered
     residual_threshold: float
     count_expected: int
     count_found: int
@@ -574,7 +574,7 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
     eliminant vanishes identically.
 
     Desk scale: total degrees up to ~12 per input (eliminant degree 144);
-    beyond that the exact interpolation cost dominates.
+    beyond that the exact node resultants dominate.
     """
     ry = eliminant_bivariate(f1, f2, "x")  # polynomial in y
     rx = eliminant_bivariate(f1, f2, "y")  # polynomial in x
@@ -586,7 +586,7 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
             eliminant_degree=0,
             iterations=0,
             max_residual=0.0,
-            clustering_radius=CLUSTER_RADIUS,
+            clustering_radius=None,
             residual_threshold=RESIDUAL_TOL,
             count_expected=expected,
             count_found=0,
@@ -621,7 +621,7 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
         eliminant_degree=len(ry) - 1,
         iterations=ysweeps + xsweeps,
         max_residual=max((p.residual for p in points), default=0.0),
-        clustering_radius=CLUSTER_RADIUS,
+        clustering_radius=None,
         residual_threshold=RESIDUAL_TOL,
         count_expected=expected,
         count_found=cycle.degree,

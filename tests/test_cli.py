@@ -4,6 +4,7 @@ import math
 import pytest
 
 from polytorus.cli import main
+from polytorus.solver import CLUSTER_RADIUS, RESIDUAL_TOL
 
 
 def test_sample_writes_system(tmp_path, capsys):
@@ -37,6 +38,32 @@ def test_solve_outputs_cycle(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["n"] == 1
     assert obj["diagnostics"]["count_found"] == 12
+    assert obj["diagnostics"]["clustering_radius"] == CLUSTER_RADIUS
+
+
+def test_solve_bivariate_system_file_diagnostics(tmp_path, capsys):
+    # x^2 + y^2 = 5, xy = 2: the four zeros (1, 2), (2, 1), (-1, -2), (-2, -1)
+    path = tmp_path / "circle_hyperbola.json"
+    path.write_text(json.dumps({"n": 2, "d": 2, "polys": [
+        [[[2, 0], 1], [[0, 2], 1], [[0, 0], -5]],
+        [[[1, 1], 1], [[0, 0], -2]],
+    ]}))
+    rc = main(["solve", str(path)])
+    assert rc == 0
+    obj = json.loads(capsys.readouterr().out)
+    diag = obj["diagnostics"]
+    assert diag["clustering_radius"] is None  # the pairing clusters nothing
+    assert diag["eliminant_degree"] == diag["count_expected"] == 4
+    assert diag["count_found"] == 4
+    assert diag["dropped"] == diag["cross_check_mismatches"] == 0
+    assert diag["warnings"] == []
+    assert diag["iterations"] > 0
+    assert diag["residual_threshold"] == RESIDUAL_TOL
+    assert 0 <= diag["max_residual"] <= RESIDUAL_TOL
+    zeros = sorted((round(x[0], 9), round(y[0], 9)) for x, y in
+                   (p["coords"] for p in obj["points"]))
+    assert zeros == [(-2, -1), (-1, -2), (1, 2), (2, 1)]
+    assert all(p["mult"] == 1 for p in obj["points"])
 
 
 def test_analyze_text_and_json(capsys):

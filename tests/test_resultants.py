@@ -1,29 +1,38 @@
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sylvester_oracle import det_bareiss, sylvester_matrix
+
 from polytorus.polynomials import IntPolynomial, sample_bernoulli_system
 from polytorus.resultants import (
+    _SQFREE_PRIME,
     ComputationError,
     DegenerateSystemError,
     ResultantError,
     UnsupportedDimensionError,
+    _interpolate_integers,
+    _formal_resultant,
     classify_exceptional,
-    det_bareiss,
     directional_resultant,
     eliminant_bivariate,
+    is_squarefree_certified,
+    poly_derivative,
     poly_divexact,
     poly_gcd,
     poly_primitive,
     resultant_univariate,
     roots_structure,
     squarefree_decomposition,
-    sylvester_matrix,
     trim,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def poly(nvars, coeffs):
@@ -101,6 +110,33 @@ def test_resultant_matches_sylvester_determinant():
         assert resultant_univariate(f, g) == det_bareiss(sylvester_matrix(f, g))
 
 
+@st.composite
+def short_formal_pairs(draw):
+    """(c1, c2, m1, m2): coefficient lists at formal degrees m1, m2 <= 8
+    whose leading coefficients vanish on either side, both or neither."""
+    m1 = draw(st.integers(0, 8))
+    m2 = draw(st.integers(0 if m1 else 1, 8))
+    c1 = draw(st.lists(st.integers(-9, 9), min_size=m1 + 1, max_size=m1 + 1))
+    c2 = draw(st.lists(st.integers(-9, 9), min_size=m2 + 1, max_size=m2 + 1))
+    short = draw(st.sampled_from(["c1", "c2", "both", "neither"]))
+    for c, m, side in ((c1, m1, "c1"), (c2, m2, "c2")):
+        if short in (side, "both"):
+            k = draw(st.integers(-1, m - 1))  # actual degree; -1 is zero
+            c[k + 1 :] = [0] * (m - k)
+        elif c[m] == 0:
+            c[m] = 1
+    return c1, c2, m1, m2
+
+
+@settings(max_examples=400, deadline=None)
+@given(short_formal_pairs())
+def test_formal_resultant_matches_sylvester_determinant(case):
+    c1, c2, m1, m2 = case
+    assert _formal_resultant(c1, c2, m1, m2) == det_bareiss(
+        sylvester_matrix(c1, c2, m1, m2)
+    )
+
+
 def test_swap_sign_law():
     rng = random.Random(2)
     for _ in range(500):
@@ -172,6 +208,46 @@ def test_roots_structure_fast_path():
     assert roots_structure(sq) == [([-1, 1], 2)]
 
 
+def test_certificate_int64_bound():
+    # every a - c*b of the modular Euclid must stay inside int64
+    assert (_SQFREE_PRIME - 1) ** 2 + _SQFREE_PRIME < 2**63
+
+
+def test_certificate_rejects_square_factors():
+    rng = random.Random(11)
+    for _ in range(200):
+        p = random_poly(rng, rng.randint(1, 12), -99, 99)
+        q = random_poly(rng, rng.randint(1, 6), -99, 99)
+        assert not is_squarefree_certified(poly_mul(p, poly_mul(q, q)))
+
+
+def test_certificate_unusable_prime_falls_back_to_yun():
+    # the prime divides the leading coefficient: "maybe", then exact Yun
+    squarefree = [1, 3, 0, 5 * _SQFREE_PRIME]
+    squared = poly_mul(poly_mul([-1, 1], [-1, 1]), [1, _SQFREE_PRIME])
+    for f in (squarefree, squared):
+        assert not is_squarefree_certified(f)
+        assert roots_structure(f) == squarefree_decomposition(f)
+    assert roots_structure(squarefree) == [(squarefree, 1)]
+    assert roots_structure(squared) == [([1, _SQFREE_PRIME], 1), ([-1, 1], 2)]
+
+
+def test_certificate_is_a_proof_on_the_default_suite():
+    # every eliminant the n=2 default suite solves at d <= 6
+    cfg = json.load(open(CONFIG_DIR / "default_suite_n2.json"))
+    certified = 0
+    for d in (4, 6):
+        assert d in cfg["degrees"]
+        for t in range(cfg["trials_per_degree"]):
+            s = sample_bernoulli_system(2, d, cfg["master_seed"], t)
+            for axis in "xy":
+                r = eliminant_bivariate(*s.polys, axis)
+                if is_squarefree_certified(r):
+                    certified += 1
+                    assert poly_gcd(r, poly_derivative(r)) == [1]
+    assert certified >= 700
+
+
 # ---------------------------------------------------------------------------
 # bivariate eliminant
 
@@ -223,6 +299,74 @@ def test_eliminant_degenerate_leading_coefficient():
     # Res_x = 1*(y) ... direct: x = -y, requirement -y^2+1 = 0 -> roots +-1
     roots = np.roots(r[::-1])
     assert sorted(np.round(roots.real, 8)) == [-1.0, 1.0]
+
+
+def _sylvester_at(f1, f2, var, value):
+    """det of the formal-degree Sylvester matrix of f1, f2 in x_var, the
+    other variable set to `value`: the oracle value of the eliminant."""
+    def coeffs(f):
+        out = [0] * (max(e[var] for e, _ in f.terms) + 1)
+        for e, c in f.terms:
+            out[e[var]] += c * value ** e[1 - var]
+        return out
+
+    c1, c2 = coeffs(f1), coeffs(f2)
+    return det_bareiss(sylvester_matrix(c1, c2, len(c1) - 1, len(c2) - 1))
+
+
+# non-full systems whose leading row in x is a multiple of y, so it
+# vanishes at the node y = 0, which every interpolation range contains
+SHORT_NODE_SYSTEMS = {
+    "f1-short": ({(2, 1): 1, (1, 0): 1, (0, 0): 1}, {(2, 0): 1, (1, 1): 1, (0, 0): -1}),
+    "f2-short": ({(2, 0): 1, (1, 1): 1, (0, 0): -1}, {(2, 1): 1, (1, 0): 1, (0, 0): 1}),
+    "both-short": ({(2, 1): 1, (0, 0): 1}, {(3, 1): -1, (1, 0): 1, (0, 1): 1}),
+    "f1-zero-row": ({(1, 1): 1, (0, 1): 1}, {(2, 0): 1, (0, 1): 1, (0, 0): 1}),
+    "f2-constant-in-x": ({(2, 1): 1, (1, 0): 1, (0, 0): 1}, {(0, 2): 1, (0, 0): -2}),
+    "f2-vanishing-constant": ({(2, 1): 1, (1, 0): 1, (0, 0): 1}, {(0, 1): 1}),
+    "f1-constant-in-x": ({(0, 1): 1, (0, 0): 3}, {(3, 1): 1, (1, 0): 2, (0, 0): 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_NODE_SYSTEMS))
+def test_eliminant_at_short_nodes_matches_sylvester_oracle(name, monkeypatch):
+    import polytorus.resultants as res
+
+    short = []
+    def spy(c1, c2, m1, m2):
+        short.append(c1[m1] == 0 or c2[m2] == 0)
+        return _formal_resultant(c1, c2, m1, m2)
+
+    monkeypatch.setattr(res, "_formal_resultant", spy)
+    f1, f2 = (poly(2, c) for c in SHORT_NODE_SYSTEMS[name])
+    r = eliminant_bivariate(f1, f2, "x")
+    assert any(short), "no node has a vanishing leading coefficient"
+    assert r  # isolated zeros: the eliminant is not identically zero
+    for y in range(-8, 9):  # more points than deg r + 1: pins every coefficient
+        value = sum(c * y**i for i, c in enumerate(r))
+        assert value == _sylvester_at(f1, f2, 0, y)
+
+
+def test_interpolation_round_trip():
+    rng = random.Random(7)
+    for deg in (0, 1, 2, 17, 64, 200):
+        for lo in (-(deg // 2), 0, -deg - 3, 5):
+            coeffs = [rng.randint(-(2**120), 2**120) for _ in range(deg + 1)]
+            values = [sum(c * x**i for i, c in enumerate(coeffs))
+                      for x in range(lo, lo + deg + 1)]
+            assert _interpolate_integers(lo, values) == trim(coeffs)
+
+
+def test_interpolation_rejects_non_integer_coefficients():
+    # y(y-1)/2 is integer-valued at every integer, with coefficients 1/2
+    with pytest.raises(ComputationError):
+        _interpolate_integers(0, [0, 0, 1])
+
+
+def test_interpolation_of_at_most_one_value():
+    assert _interpolate_integers(-3, [5]) == [5]
+    assert _interpolate_integers(4, [0]) == []
+    with pytest.raises(IndexError):  # no node, no polynomial
+        _interpolate_integers(0, [])
 
 
 # ---------------------------------------------------------------------------
