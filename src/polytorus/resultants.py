@@ -248,7 +248,7 @@ def poly_gcd(a, b):
 _SQFREE_PRIME = (1 << 31) - 1
 
 
-def _gcd_degree_mod(a, b, p) -> int:
+def _gcd_degree_mod(a, b, p) -> int | None:
     """Degree of gcd(a, b) over F_p, or None when the reduction is unusable.
 
     Euclid on int64 vectors: the divisor is made monic, then each leading

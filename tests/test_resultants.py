@@ -16,8 +16,8 @@ from polytorus.resultants import (
     DegenerateSystemError,
     ResultantError,
     UnsupportedDimensionError,
-    _interpolate_integers,
     _formal_resultant,
+    _interpolate_integers,
     classify_exceptional,
     directional_resultant,
     eliminant_bivariate,
@@ -111,7 +111,7 @@ def test_resultant_matches_sylvester_determinant():
 
 
 @st.composite
-def short_formal_pairs(draw):
+def formal_pairs(draw):
     """(c1, c2, m1, m2): coefficient lists at formal degrees m1, m2 <= 8
     whose leading coefficients vanish on either side, both or neither."""
     m1 = draw(st.integers(0, 8))
@@ -129,7 +129,7 @@ def short_formal_pairs(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(short_formal_pairs())
+@given(formal_pairs())
 def test_formal_resultant_matches_sylvester_determinant(case):
     c1, c2, m1, m2 = case
     assert _formal_resultant(c1, c2, m1, m2) == det_bareiss(
@@ -301,20 +301,20 @@ def test_eliminant_degenerate_leading_coefficient():
     assert sorted(np.round(roots.real, 8)) == [-1.0, 1.0]
 
 
-def _sylvester_at(f1, f2, var, value):
-    """det of the formal-degree Sylvester matrix of f1, f2 in x_var, the
-    other variable set to `value`: the oracle value of the eliminant."""
+def _sylvester_in_x_at(f1, f2, y):
+    """det of the formal-degree Sylvester matrix of f1, f2 in x at the
+    given y: the oracle value of Res_x there."""
     def coeffs(f):
-        out = [0] * (max(e[var] for e, _ in f.terms) + 1)
-        for e, c in f.terms:
-            out[e[var]] += c * value ** e[1 - var]
+        out = [0] * (max(a for (a, _), _ in f.terms) + 1)
+        for (a, b), c in f.terms:
+            out[a] += c * y**b
         return out
 
     c1, c2 = coeffs(f1), coeffs(f2)
     return det_bareiss(sylvester_matrix(c1, c2, len(c1) - 1, len(c2) - 1))
 
 
-# non-full systems whose leading row in x is a multiple of y, so it
+# non-full systems in which a leading row in x is a multiple of y, so it
 # vanishes at the node y = 0, which every interpolation range contains
 SHORT_NODE_SYSTEMS = {
     "f1-short": ({(2, 1): 1, (1, 0): 1, (0, 0): 1}, {(2, 0): 1, (1, 1): 1, (0, 0): -1}),
@@ -343,7 +343,7 @@ def test_eliminant_at_short_nodes_matches_sylvester_oracle(name, monkeypatch):
     assert r  # isolated zeros: the eliminant is not identically zero
     for y in range(-8, 9):  # more points than deg r + 1: pins every coefficient
         value = sum(c * y**i for i, c in enumerate(r))
-        assert value == _sylvester_at(f1, f2, 0, y)
+        assert value == _sylvester_in_x_at(f1, f2, y)
 
 
 def test_interpolation_round_trip():
