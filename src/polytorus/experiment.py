@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError("degrees must be >= 1")
         if self.trials_per_degree < 1:
             raise ConfigError("trials_per_degree must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError("master_seed must lie in [0, 2**64)")
         if any(not 0 < e < 1 for e in self.epsilons):
             raise ConfigError("epsilons must lie in (0, 1)")
         if self.angle_mode not in ("exact", "grid"):

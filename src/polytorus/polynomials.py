@@ -226,7 +226,7 @@ _STREAM_PERSON = b"pt-coeff-stream"
 
 
 def _sign_block(seed: int, trial: int, poly_index: int, block: int) -> bytes:
-    msg = struct.pack("<QQQQ", seed & (2**64 - 1), trial, poly_index, block)
+    msg = struct.pack("<QQQQ", seed, trial, poly_index, block)
     return hashlib.blake2b(msg, digest_size=64, person=_STREAM_PERSON).digest()
 
 
@@ -245,11 +245,11 @@ def coefficient_signs(seed: int, trial: int, poly_index: int, count: int):
 
 
 def sample_bernoulli_system(n: int, d: int, seed: int, trial: int) -> BernoulliSystem:
-    """Draw a full system; deterministic in (n, d, seed, trial)."""
+    """Draw a full system; deterministic in (n, d, seed, trial) in [0, 2**64)."""
     if n < 1 or d < 1:
         raise PolynomialError("need n >= 1 and d >= 1")
-    if trial < 0:
-        raise PolynomialError("trial index must be nonnegative")
+    if not (0 <= seed < 2**64 and 0 <= trial < 2**64):
+        raise PolynomialError(f"seed {seed} and trial {trial} must lie in [0, 2**64)")
     pts = simplex_points(n, d)
     assert len(pts) == comb(n + d, n)
     polys = []

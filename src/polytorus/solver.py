@@ -2,10 +2,10 @@
 
 Univariate roots come from Aberth-Ehrlich simultaneous iteration started
 on a circle of radius (|a_0/a_d|)^(1/deg) with a deterministic angular
-perturbation, followed by a short Newton polish; each sweep is one Horner
-pass per point, taken on the point's side of the unit circle.  A root
-stops when its correction is below ABERTH_TOL or its value is at the
-rounding floor of Horner's rule (`_aberth_batch`); a root flagged
+perturbation, followed by a short Newton polish; each sweep evaluates all
+points, on their side of the unit circle, by a factored power table.  A
+root stops when its correction is below ABERTH_TOL or its value is at the
+rounding floor of the power sum (`_aberth_batch`); a root flagged
 unconverged met neither test.  Bivariate systems are solved through both
 exact eliminants, without back-substitution: the roots of Res_x (the y
 coordinates) and of Res_y (the x coordinates) are paired by their scaled
@@ -79,31 +79,43 @@ def scaled_float_coeffs(coeffs) -> np.ndarray:
 # Aberth-Ehrlich
 
 
-def _horner_one_side(coeff_rows: np.ndarray, z: np.ndarray):
-    """(outside, v, value, derivative) of one Horner pass per point.
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^0..x^(n-1) along a new last axis, from one cumprod."""
+    out = np.ones(x.shape + (n,), dtype=complex)
+    out[..., 1:] = x[..., None]
+    return np.cumprod(out, axis=-1, out=out)
+
+
+def _eval_one_side(coeff_rows: np.ndarray, z: np.ndarray):
+    """(outside, v, value, derivative) on each point's side of the unit circle.
 
     `coeff_rows` is (rows, deg+1), lowest power first; `z` is (rows, npts).
     Points with |z| <= 1 are evaluated at v = z, the others on the reversed
-    polynomial u^deg p(1/u) at v = 1/z, so no large power is formed.
+    polynomial u^deg p(1/u) at v = 1/z, so |v| <= 1 and no power overflows.
+    As v^(i m + j) = (v^m)^i v^j with m^2 >= deg+1, the rows [a, reversed a,
+    the derivative of each] meet the powers v^j, then (v^m)^i, in two
+    matrix-vector products per point; no points x degree table is formed,
+    and no BLAS gemm, whose rounding depends on the thread count, is used.
     """
-    deg = coeff_rows.shape[1] - 1
+    rows, width = coeff_rows.shape
     outside = np.abs(z) > 1.0
     v = np.where(outside, 1.0 / np.where(outside, z, 1.0), z)
-    cols = coeff_rows.T[:, :, None]
-    coeffs = np.where(outside, cols[::-1], cols)  # [j]: coefficient of v^j
-    p = coeffs[deg].astype(complex)
-    dp = np.zeros_like(p)
-    for j in range(deg - 1, -1, -1):
-        dp *= v
-        dp += p
-        p *= v
-        p += coeffs[j]
+    m = math.isqrt(width - 1) + 1
+    coeffs = np.zeros((rows, 1, 4, m * m), dtype=complex)
+    coeffs[:, 0, 0, :width] = coeff_rows
+    coeffs[:, 0, 1, :width] = coeff_rows[:, ::-1]
+    coeffs[:, 0, 2:, : width - 1] = coeffs[:, 0, :2, 1:width] * np.arange(1, width)
+    low = _powers(v, m)
+    inner = np.matvec(coeffs.reshape(rows, 1, 4 * m, m), low)
+    out = np.matvec(inner.reshape(z.shape + (4, m)), _powers(low[..., -1] * v, m))
+    p = np.where(outside, out[..., 1], out[..., 0])
+    dp = np.where(outside, out[..., 3], out[..., 2])
     return outside, v, p, dp
 
 
 def _newton_ratio(coeff_rows: np.ndarray, z: np.ndarray):
     """(w, p): w = p(z)/p'(z), overflow-safe on both sides of the unit
-    circle, and p the value of the Horner pass on the point's side.
+    circle, and p the value on the point's side (`_eval_one_side`).
 
     Outside the unit disk the ratio is taken through the reversed
     polynomial q(u) = u^deg p(1/u): the z^deg factors cancel in
@@ -111,7 +123,7 @@ def _newton_ratio(coeff_rows: np.ndarray, z: np.ndarray):
     |z| ~ 1e4 stays in range; there p is q(1/z).
     """
     deg = coeff_rows.shape[1] - 1
-    outside, v, p, dp = _horner_one_side(coeff_rows, z)
+    outside, v, p, dp = _eval_one_side(coeff_rows, z)
     num = np.where(outside, z * p, p)
     den = np.where(outside, deg * p - v * dp, dp)
     return num / np.where(den == 0, 1e-300, den), p
@@ -120,7 +132,7 @@ def _newton_ratio(coeff_rows: np.ndarray, z: np.ndarray):
 def _at_rounding_floor(abs_rows, norm1, z, p, cand):
     """Which points of `cand` have |p| <= ROUNDING_FLOOR * e, where
     e = sum_j |a_j| |v|^j on the point's side (v = z or 1/z, |v| <= 1) is
-    the running error bound of the Horner pass that gave p.
+    the error scale of the power sum that gave p (`_eval_one_side`).
 
     e <= ||a||_1, so |p| <= ROUNDING_FLOOR * ||a||_1 pre-filters for free
     and e is formed for the few points that pass it.
@@ -161,13 +173,13 @@ def _aberth_batch(coeff_rows: np.ndarray):
     """All roots of each row polynomial (equal formal degree, lc nonzero).
 
     A point stops when its Aberth correction is below ABERTH_TOL
-    (relative), or when |p| is within ROUNDING_FLOOR of Horner's running
-    error bound (Higham, Accuracy and Stability of Numerical Algorithms,
-    5.1; MPSolve's stopping rule): p is then rounding noise, and an
-    ill-conditioned root, whose correction wanders at noise level, is as
-    accurate as doubles allow.  Returns (roots, converged, sweeps); a root
-    that stopped by neither rule within ABERTH_MAX_SWEEPS is flagged,
-    never silently dropped.
+    (relative), or when |p| is within ROUNDING_FLOOR of the error scale
+    sum_j |a_j| |v|^j of its evaluation (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1 and 5.1; MPSolve's stopping rule): p is then
+    rounding noise, and an ill-conditioned root, whose correction wanders
+    at noise level, is as accurate as doubles allow.  Returns (roots,
+    converged, sweeps); a root that stopped by neither rule within
+    ABERTH_MAX_SWEEPS is flagged, never silently dropped.
     """
     rows, width = coeff_rows.shape
     deg = width - 1
@@ -414,7 +426,7 @@ def solve_univariate_cycle(f: IntPolynomial):
     zs = np.array([z for z, _ in clustered], dtype=complex)
     # |f(z)| / (norm * max(1,|z|)^deg): for |z| > 1 this equals
     # |rev(f)(1/z)| / norm, which never overflows
-    _, _, vals, _ = _horner_one_side(scaled[None, :], zs[None, :])
+    _, _, vals, _ = _eval_one_side(scaled[None, :], zs[None, :])
     resid = np.abs(vals[0]) / norm1
     pts = [
         CyclePoint(coords=(z,), mult=m, residual=float(r))

@@ -125,6 +125,32 @@ def test_config_error_exit_code(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "1", "--d", "3", "--seed", str(2**64)],
+        ["sample", "--n", "1", "--d", "3", "--seed", "-1"],
+        ["sample", "--n", "1", "--d", "3", "--trial", str(2**64)],
+        ["experiment", "--config", "{config}"],
+    ],
+    ids=["seed-2**64", "seed-minus-1", "trial-2**64", "master-seed-minus-5"],
+)
+def test_seed_and_trial_outside_64_bits_exit_2(tmp_path, capsys, argv):
+    config = tmp_path / "neg_seed.json"
+    config.write_text(
+        json.dumps(
+            {"n": 1, "degrees": [3], "trials_per_degree": 1, "master_seed": -5,
+             "out_dir": str(tmp_path / "run")}
+        )
+    )
+    rc = main([a.replace("{config}", str(config)) for a in argv])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "config error:" in err and "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "run").exists()
+
+
 def test_experiment_rejects_non_integer_inputs(tmp_path, capsys):
     rc = main(["experiment", "--n", "2", "--d", "4,x", "--trials", "1"])
     assert rc == 2

@@ -73,6 +73,8 @@ def test_config_rejects_bad_values(tmp_path):
         {"trials_per_degree": 2.7},
         {"master_seed": 1.5},
         {"master_seed": True},
+        {"master_seed": -5},
+        {"master_seed": 2**64},
         {"grid_size": 16.0},
         {"parallelism": True},
         {"histogram_bins": "16"},

@@ -51,6 +51,11 @@ def test_sample_rejects_bad_input():
         sample_bernoulli_system(0, 3, 1, 0)
     with pytest.raises(PolynomialError):
         sample_bernoulli_system(1, 0, 1, 0)
+    # seed and trial are 64-bit words: outside [0, 2**64) is refused, not wrapped
+    for seed, trial in [(-1, 0), (2**64, 0), (1, -1), (1, 2**64)]:
+        with pytest.raises(PolynomialError):
+            sample_bernoulli_system(1, 3, seed, trial)
+    assert sample_bernoulli_system(1, 3, 2**64 - 1, 2**64 - 1).trial == 2**64 - 1
 
 
 def test_sign_balance():

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -450,28 +454,73 @@ def _reference_scaled_residual(polys, sups, x, y):
     return worst
 
 
+def _horner(rows, at):
+    """(p, p') of each row polynomial at the points `at`, by Horner's rule."""
+    deg = rows.shape[1] - 1
+    p = np.repeat(rows[:, deg][:, None], at.shape[1], axis=1).astype(complex)
+    dp = np.zeros_like(at)
+    for j in range(deg - 1, -1, -1):
+        dp = dp * at + p
+        p = p * at + rows[:, j][:, None]
+    return p, dp
+
+
 def _reference_newton_ratio(coeff_rows, z):
     """(p/p', value) by two full Horner passes, direct at z and reversed
     at 1/z, selected per point afterwards."""
-
-    def horner(rows, at):
-        deg = rows.shape[1] - 1
-        p = np.repeat(rows[:, deg][:, None], at.shape[1], axis=1).astype(complex)
-        dp = np.zeros_like(at)
-        for j in range(deg - 1, -1, -1):
-            dp = dp * at + p
-            p = p * at + rows[:, j][:, None]
-        return p, dp
-
     deg = coeff_rows.shape[1] - 1
-    p, dp = horner(coeff_rows, z)
+    p, dp = _horner(coeff_rows, z)
     w = p / np.where(dp == 0, 1e-300, dp)
     outside = np.abs(z) > 1.0
     u = np.where(outside, 1.0 / np.where(z == 0, 1.0, z), 0.0)
-    q, dq = horner(coeff_rows[:, ::-1], u)
+    q, dq = _horner(coeff_rows[:, ::-1], u)
     denom = deg * q - u * dq
     w_out = z * q / np.where(denom == 0, 1e-300, denom)
     return np.where(outside, w_out, w), np.where(outside, q, p)
+
+
+def _dyadic(x):
+    """(m, k) with the double x = m / 2**k exactly."""
+    m, den = float(x).as_integer_ratio()
+    return m, den.bit_length() - 1
+
+
+def _exact_power_sum(coeffs, v):
+    """(value, derivative) of sum_j a_j v^j in exact arithmetic, as
+    ((re_num, im_num), (re_num, im_num), log2 of the common denominator).
+
+    Every double is m / 2**k, so with V = v 2**K and A_j = a_j 2**Ka
+    Gaussian integers, Horner's rule on P_j = P_{j+1} V + A_j 2**(K(deg-j))
+    and D_j = D_{j+1} V + P_{j+1} 2**K is exact, and the value and the
+    derivative are P_0 and D_0 over 2**(K deg + Ka).
+    """
+    deg = len(coeffs) - 1
+    K = max(_dyadic(v.real)[1], _dyadic(v.imag)[1], 0)
+    Ka = max(max(_dyadic(c.real)[1], _dyadic(c.imag)[1]) for c in coeffs)
+
+    def scaled(x, k):
+        m, e = _dyadic(x)
+        return m << (k - e)
+
+    vr, vi = scaled(v.real, K), scaled(v.imag, K)
+    pr, pi = scaled(coeffs[deg].real, Ka), scaled(coeffs[deg].imag, Ka)
+    dr = di = 0
+    for j in range(deg - 1, -1, -1):
+        dr, di = dr * vr - di * vi + (pr << K), dr * vi + di * vr + (pi << K)
+        shift = K * (deg - j)
+        ar, ai = scaled(coeffs[j].real, Ka), scaled(coeffs[j].imag, Ka)
+        pr, pi = pr * vr - pi * vi + (ar << shift), pr * vi + pi * vr + (ai << shift)
+    return (pr, pi), (dr, di), K * deg + Ka
+
+
+def _error_against_exact(computed, exact, log2_den):
+    """|computed - exact| for a double and an exact (re, im) numerator over
+    2**log2_den, rounded once."""
+    parts = []
+    for c, num in zip((computed.real, computed.imag), exact):
+        m, k = _dyadic(c)
+        parts.append(((m << log2_den) - (num << k)) / (1 << (log2_den + k)))
+    return math.hypot(*parts)
 
 
 def _far_candidates(rng, k):
@@ -500,21 +549,151 @@ def test_residual_kernel_matches_scalar_loop():
 
 @pytest.mark.parametrize("rows,deg", [(1, 1), (1, 12), (3, 7), (5, 40)])
 def test_one_pass_newton_ratio_equals_two_pass(rows, deg):
+    """One evaluation per point, on its side of the unit circle, against
+    the exact value of both sides, selected per point afterwards.
+
+    The term a_n v^n, n = i m + j, meets j - 1 complex products in v^j,
+    i m - 1 in (v^m)^i, one with a_n and one with (v^m)^i: n products, each
+    with relative error at most sqrt(2) gamma_2 ~ 2 sqrt(2) u (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.6).  The two sums of
+    m terms add gamma_(2m) (3.1), and m <= sqrt(deg) + 1.  So
+    |p - sum a_j v^j| <= (2 sqrt(2) deg + 2 m) u E <= 4 (deg+1) u E with
+    E = sum |a_j| |v|^j.  The derivative coefficients (j+1) a_{j+1} are
+    rounded once more and run to deg-1, so the same factor bounds p'
+    against E' = sum j |a_j| |v|^(j-1).
+    """
     rng = np.random.default_rng(rows * 100 + deg)
     coeff_rows = rng.standard_normal((rows, deg + 1)) + 1j * rng.standard_normal(
         (rows, deg + 1)
     )
     z = np.stack([_far_candidates(rng, 2 * deg) for _ in range(rows)])
     z[:, 0] = 10.0 ** rng.uniform(-3, 3, rows)  # near the iteration's range
-    with np.errstate(over="ignore", invalid="ignore"):
-        want_w, want_p = _reference_newton_ratio(coeff_rows, z)
-        got_w, got_p = solver._newton_ratio(coeff_rows, z)
-    assert np.array_equal(got_w, want_w)
-    assert np.array_equal(got_p, want_p)
+    outside, v, p, dp = solver._eval_one_side(coeff_rows, z)
+    assert np.array_equal(outside, np.abs(z) > 1.0)
+    assert np.all(np.abs(v) <= 1.0)
+    w, p_ratio = solver._newton_ratio(coeff_rows, z)
+    assert np.array_equal(p_ratio, p)
+    u = 2.0**-53
+    j = np.arange(deg + 1)
+    for r in range(rows):
+        for k in range(z.shape[1]):
+            a = coeff_rows[r, ::-1] if outside[r, k] else coeff_rows[r]
+            value, deriv, log2_den = _exact_power_sum(list(a), v[r, k])
+            av = abs(v[r, k]) ** j
+            scale = np.abs(a) @ av
+            dscale = (j[1:] * np.abs(a[1:])) @ av[:-1]
+            assert _error_against_exact(p[r, k], value, log2_den) <= (
+                4 * (deg + 1) * u * scale
+            )
+            assert _error_against_exact(dp[r, k], deriv, log2_den) <= (
+                4 * (deg + 1) * u * dscale
+            )
+    # the Newton ratio is formed from these on the point's side
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        num = np.where(outside, z * p, p)
+        den = np.where(outside, deg * p - v * dp, dp)
+        assert np.array_equal(w, num / np.where(den == 0, 1e-300, den))
+
+
+def test_degree_800_kernels_match_references():
+    """Above degree 768 the pairwise sum runs in blocks of 256 points; 800
+    points make four blocks, the last one short.  The evaluation at this
+    degree matches Horner's rule within both error bounds."""
+    rng = np.random.default_rng(29)
+    deg = 800
+    coeff_rows = rng.standard_normal((1, deg + 1)) + 1j * rng.standard_normal(
+        (1, deg + 1)
+    )
+    z = (10.0 ** rng.uniform(-0.3, 0.3, (1, deg))) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, (1, deg))
+    )
+    diff = z[:, :, None] - z[:, None, :]
+    diff[:, np.arange(deg), np.arange(deg)] = np.inf
+    assert np.array_equal(solver._pairwise_inverse_sum(z), (1.0 / diff).sum(axis=2))
+
+    outside, v, p, dp = solver._eval_one_side(coeff_rows, z)
+    p_in, dp_in = _horner(coeff_rows, v)
+    p_out, dp_out = _horner(coeff_rows[:, ::-1], v)
+    side = np.where(outside[0, :, None], coeff_rows[:, ::-1], coeff_rows)
+    j = np.arange(deg + 1)
+    av = np.abs(v[0, :, None]) ** j
+    scale = (np.abs(side) * av).sum(axis=1)
+    dscale = (j[1:] * np.abs(side[:, 1:]) * av[:, :-1]).sum(axis=1)
+    # 4 (deg+1) u for the factored power sum (see above), 2 sqrt(2) + 1 < 4
+    # per Horner step for the reference
+    tol = 8 * (deg + 1) * 2.0**-53
+    assert np.all(np.abs(p - np.where(outside, p_out, p_in))[0] <= tol * scale)
+    assert np.all(np.abs(dp - np.where(outside, dp_out, dp_in))[0] <= tol * dscale)
+
+
+def test_roots_of_unity_degree_1000():
+    # degree 1000 > 768 runs every sweep through the blocked pairwise sum
+    d = 1000
+    res = roots_univariate([-1] + [0] * (d - 1) + [1])
+    assert res.converged.all()
+    k = np.round(np.angle(res.roots) * d / (2 * np.pi)).astype(int) % d
+    assert sorted(k) == list(range(d))
+    assert np.max(np.abs(res.roots - np.exp(2j * np.pi * k / d))) <= 1e-12
+
+
+def test_evaluation_memory_within_pairwise_sum():
+    # the factored power table takes O(points * sqrt(degree)) memory, so at
+    # degree 2000 one evaluation needs no more than the pairwise sum
+    rng = np.random.default_rng(3)
+    deg = 2000
+    coeff_rows = rng.standard_normal((1, deg + 1)).astype(complex)
+    z = (10.0 ** rng.uniform(-0.1, 0.1, (1, deg))) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, (1, deg))
+    )
+    peaks = []
+    for call in (
+        lambda: solver._eval_one_side(coeff_rows, z),
+        lambda: solver._pairwise_inverse_sum(z),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
+def test_evaluation_does_not_depend_on_blas_threads():
+    # a threaded BLAS gemm splits the work by thread count and rounds
+    # differently; the records must not depend on the machine's cores
+    script = (
+        "import hashlib, numpy as np\n"
+        "from polytorus import solver\n"
+        "rng = np.random.default_rng(7)\n"
+        "a = rng.standard_normal((1, 2001)) + 1j * rng.standard_normal((1, 2001))\n"
+        "z = 10.0 ** rng.uniform(-0.2, 0.2, (1, 2000))\n"
+        "z = z * np.exp(7j * rng.random((1, 2000)))\n"
+        "_, _, p, dp = solver._eval_one_side(a, z)\n"
+        "print(hashlib.sha256(p.tobytes() + dp.tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src}
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests.add(run.stdout)
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("d,seed", [(4, 3), (5, 11), (6, 5), (7, 2), (8, 1)])
 def test_solve_bivariate_matches_reference_kernels(monkeypatch, d, seed):
+    """The power-sum evaluation against Horner's rule and the scalar
+    residual loop: the same sweeps and multiplicities, and every zero
+    within 1e-12 relative of its reference (the two evaluations round
+    differently, so the last bits of a root may move)."""
     t = 0
     while classify_exceptional(sample_bernoulli_system(2, d, seed, t)).exceptional:
         t += 1
@@ -529,10 +708,17 @@ def test_solve_bivariate_matches_reference_kernels(monkeypatch, d, seed):
     monkeypatch.setattr(solver, "_scaled_residuals", scalar_residuals)
     monkeypatch.setattr(solver, "_newton_ratio", _reference_newton_ratio)
     ref_cycle, ref_diag = solve_bivariate(*polys)
-    assert [(p.coords, p.mult) for p in cycle.points] == [
-        (p.coords, p.mult) for p in ref_cycle.points
-    ]
     assert diag.iterations == ref_diag.iterations
+    assert len(cycle.points) == len(ref_cycle.points)
+    ref = np.array([p.coords for p in ref_cycle.points])
+    matched = set()
+    for p in cycle.points:
+        dist = np.max(np.abs(ref - np.array(p.coords)), axis=1)
+        i = int(np.argmin(dist))
+        assert dist[i] <= 1e-12 * max(1.0, *(abs(c) for c in p.coords))
+        assert p.mult == ref_cycle.points[i].mult
+        matched.add(i)
+    assert len(matched) == len(ref_cycle.points)
     assert abs(diag.max_residual - ref_diag.max_residual) <= 1e-15
 
 
