@@ -2,9 +2,11 @@
 
 Univariate roots come from Aberth-Ehrlich simultaneous iteration started
 on a circle of radius (|a_0/a_d|)^(1/deg) with a deterministic angular
-perturbation, followed by a short Newton polish; each sweep evaluates all
-points, on their side of the unit circle, by a factored power table.  A
-root stops when its correction is below ABERTH_TOL or its value is at the
+perturbation, followed by a short Newton polish; each sweep evaluates the
+points that have not stopped, on their side of the unit circle, by a
+factored power table, and corrects them by S_k = sum_j 1/(z_k - z_j) over
+all points: a stopped point is frozen but stays in every S_k.  A root
+stops when its correction is below ABERTH_TOL or its value is at the
 rounding floor of the power sum (`_aberth_batch`); a root flagged
 unconverged met neither test.  Bivariate systems are solved through both
 exact eliminants, without back-substitution: the roots of Res_x (the y
@@ -150,77 +152,67 @@ def _at_rounding_floor(abs_rows, norm1, z, p, cand):
     return cand
 
 
-def _pairwise_inverse_sum(z: np.ndarray) -> np.ndarray:
-    """S_k = sum_{j != k} 1/(z_k - z_j), chunked to bound memory."""
-    rows, deg = z.shape
-    if deg <= 768:
-        diff = z[:, :, None] - z[:, None, :]
-        idx = np.arange(deg)
-        diff[:, idx, idx] = np.inf
-        return (1.0 / diff).sum(axis=2)
-    out = np.empty_like(z)
-    step = 256
-    for a in range(0, deg, step):
-        b = min(a + step, deg)
-        diff = z[:, a:b, None] - z[:, None, :]
-        for k in range(a, b):
-            diff[:, k - a, k] = np.inf
-        out[:, a:b] = (1.0 / diff).sum(axis=2)
-    return out
+def _pairwise_inverse_sum(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """S_k = sum_{j != k} 1/(z_k - z_j) over all points z_j, for each k in
+    `idx`, in blocks of 256 rows of k to bound memory at 256 x len(z)."""
+    blocks = []
+    for a in range(0, len(idx), 256):
+        rows = idx[a : a + 256]
+        diff = z[rows, None] - z
+        diff[np.arange(len(rows)), rows] = np.inf
+        blocks.append((1.0 / diff).sum(axis=1))
+    return np.concatenate(blocks)
 
 
-def _aberth_batch(coeff_rows: np.ndarray):
-    """All roots of each row polynomial (equal formal degree, lc nonzero).
+def _aberth_batch(coeffs: np.ndarray):
+    """All roots of one polynomial, lowest power first, lc nonzero.
 
     A point stops when its Aberth correction is below ABERTH_TOL
     (relative), or when |p| is within ROUNDING_FLOOR of the error scale
     sum_j |a_j| |v|^j of its evaluation (Higham, Accuracy and Stability of
     Numerical Algorithms, 3.1 and 5.1; MPSolve's stopping rule): p is then
     rounding noise, and an ill-conditioned root, whose correction wanders
-    at noise level, is as accurate as doubles allow.  Returns (roots,
-    converged, sweeps); a root that stopped by neither rule within
-    ABERTH_MAX_SWEEPS is flagged, never silently dropped.
+    at noise level, is as accurate as doubles allow.  Each sweep evaluates
+    and corrects only the active points `idx`; a stopped point is frozen
+    but stays in every S_k, so each active point's sum is the one of the
+    full-set iteration.  Returns (roots, converged, sweeps); a root that
+    stopped by neither rule within ABERTH_MAX_SWEEPS is flagged, never
+    silently dropped.
     """
-    rows, width = coeff_rows.shape
-    deg = width - 1
-    if deg < 1 or rows == 0:
-        return (
-            np.zeros((rows, max(deg, 0)), dtype=complex),
-            np.zeros((rows, max(deg, 0)), dtype=bool),
-            0,
-        )
-    lc = np.abs(coeff_rows[:, -1])
-    c0 = np.abs(coeff_rows[:, 0])
+    deg = len(coeffs) - 1
+    if deg < 1:
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=bool), 0
+    row = coeffs[None, :]
+    c0, lc = np.abs(coeffs[:1]), np.abs(coeffs[-1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = np.where(c0 > 0, (c0 / lc) ** (1.0 / deg), 1.0)
-    radius = np.clip(radius, 1e-3, 1e3)
     k = np.arange(deg)
     jitter = ((k * 2654435761) % 997) / 997.0 - 0.5
     angles = 2 * np.pi * (k + 0.3618) / deg + 1e-3 * jitter
-    z = radius[:, None] * np.exp(1j * angles)[None, :]
+    z = np.clip(radius, 1e-3, 1e3) * np.exp(1j * angles)
 
-    abs_rows = np.abs(coeff_rows)
-    norm1 = abs_rows.sum(axis=1)
-    active = np.ones((rows, deg), dtype=bool)
+    abs_row = np.abs(row)
+    norm1 = abs_row.sum(axis=1)
+    idx = k  # the active points
     sweeps = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while sweeps < ABERTH_MAX_SWEEPS and active.any():
+        while sweeps < ABERTH_MAX_SWEEPS and idx.size:
             sweeps += 1
-            w, p = _newton_ratio(coeff_rows, z)
-            s = _pairwise_inverse_sum(z)
-            denom = 1.0 - w * s
-            denom = np.where(denom == 0, 1e-300, denom)
-            corr = w / denom
+            za = z[idx]
+            (w,), p = _newton_ratio(row, za[None])
+            denom = 1.0 - w * _pairwise_inverse_sum(z, idx)
+            corr = w / np.where(denom == 0, 1e-300, denom)
             bad = ~np.isfinite(corr)
             if bad.any():  # last-resort rescue, should not trigger anymore
-                corr = np.where(bad, 0.5 * z, corr)
-            done = np.abs(corr) <= ABERTH_TOL * (1.0 + np.abs(z))
-            done |= _at_rounding_floor(abs_rows, norm1, z, p, active & ~done)
-            z = np.where(active, z - corr, z)
-            active &= ~done
-        converged = ~active
+                corr = np.where(bad, 0.5 * za, corr)
+            done = np.abs(corr) <= ABERTH_TOL * (1.0 + np.abs(za))
+            done |= _at_rounding_floor(abs_row, norm1, za[None], p, ~done[None])[0]
+            z[idx] = za - corr
+            idx = idx[~done]
+        converged = np.ones(deg, dtype=bool)
+        converged[idx] = False
         for _ in range(NEWTON_POLISH_STEPS):
-            step, _ = _newton_ratio(coeff_rows, z)
+            (step,), _ = _newton_ratio(row, z[None])
             ok = np.isfinite(step) & (np.abs(step) <= 1e-2 * (1.0 + np.abs(z)))
             z = z - np.where(ok, step, 0.0)
     return z, converged, sweeps
@@ -238,7 +230,7 @@ def roots_univariate(coeffs) -> RootsResult:
 
     Roots at the origin (trailing zero coefficients) are split off
     exactly; the rest go through scaled Aberth iteration.  Practical up
-    to degree ~2000 (the pairwise correction is O(d^2) per sweep).
+    to degree ~2000 (the pairwise correction is O(active * d) per sweep).
     """
     cs = list(coeffs)
     exact = all(isinstance(c, int) for c in cs)
@@ -254,12 +246,12 @@ def roots_univariate(coeffs) -> RootsResult:
         roots = np.zeros(nzero, dtype=complex)
         return RootsResult(roots, np.ones(nzero, dtype=bool), 0)
     if exact:
-        row = scaled_float_coeffs(cs).astype(complex)[None, :]
+        coeffs = scaled_float_coeffs(cs).astype(complex)
     else:
-        row = np.array(cs, dtype=complex)[None, :]
-    z, conv, sweeps = _aberth_batch(row)
-    roots = np.concatenate([z[0], np.zeros(nzero, dtype=complex)])
-    converged = np.concatenate([conv[0], np.ones(nzero, dtype=bool)])
+        coeffs = np.array(cs, dtype=complex)
+    z, conv, sweeps = _aberth_batch(coeffs)
+    roots = np.concatenate([z, np.zeros(nzero, dtype=complex)])
+    converged = np.concatenate([conv, np.ones(nzero, dtype=bool)])
     order = np.lexsort((roots.imag, roots.real))
     return RootsResult(roots=roots[order], converged=converged[order], sweeps=sweeps)
 

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -154,6 +156,47 @@ def test_parallelism_changes_nothing_but_timing(tmp_path):
         fa = (tmp_path / "seq" / f"trials_n2_d{d}.jsonl").read_bytes()
         fb = (tmp_path / "par" / f"trials_n2_d{d}.jsonl").read_bytes()
         assert fa == fb
+
+
+def test_records_do_not_depend_on_blas_threads(tmp_path):
+    # a threaded BLAS splits its work by the thread count and may round
+    # differently with it; the records must not depend on the machine's
+    # cores, so a serial suite runs at one and at two BLAS threads
+    script = (
+        "import json, sys\n"
+        "from polytorus.experiment import ExperimentConfig, run_experiment\n"
+        "for cfg in json.loads(sys.argv[1]):\n"
+        "    run_experiment(ExperimentConfig.from_dict(cfg))\n"
+    )
+    n1_probes = [
+        {"radial": [[0.0, 0.3]], "angular": [[-math.pi, math.pi]]},
+        {"radial": [[0.0, None]], "angular": [[-math.pi, math.pi]]},
+    ]
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    records = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}")
+        suites = [
+            tiny_config(
+                tmp_path, n=1, degrees=[100, 300], trials_per_degree=2,
+                angle_mode="exact", box_probes=n1_probes, out_dir=out,
+            ),
+            tiny_config(tmp_path, degrees=[10], trials_per_degree=2, out_dir=out),
+        ]
+        env = {**os.environ, "PYTHONPATH": src}
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        subprocess.run(
+            [sys.executable, "-c", script, json.dumps([c.to_dict() for c in suites])],
+            env=env,
+            check=True,
+        )
+        names = ["trials_n1_d100", "trials_n1_d300", "trials_n2_d10"]
+        records.append([
+            (tmp_path / f"threads{threads}" / f"{name}.jsonl").read_bytes()
+            for name in names
+        ])
+    assert all(len(r.splitlines()) == 2 for r in records[0])
+    assert records[0] == records[1]
 
 
 def test_aggregation_order_independent(tmp_path):

@@ -596,8 +596,10 @@ def test_one_pass_newton_ratio_equals_two_pass(rows, deg):
 
 
 def test_degree_800_kernels_match_references():
-    """Above degree 768 the pairwise sum runs in blocks of 256 points; 800
-    points make four blocks, the last one short.  The evaluation at this
+    """The pairwise sum runs in blocks of 256 active points: all 800 points
+    make four blocks, the last one short, and a scattered subset of 300
+    makes two.  Every sum still runs over all 800 points, so each active
+    row equals the unblocked reference bit for bit.  The evaluation at this
     degree matches Horner's rule within both error bounds."""
     rng = np.random.default_rng(29)
     deg = 800
@@ -607,9 +609,11 @@ def test_degree_800_kernels_match_references():
     z = (10.0 ** rng.uniform(-0.3, 0.3, (1, deg))) * np.exp(
         1j * rng.uniform(-np.pi, np.pi, (1, deg))
     )
-    diff = z[:, :, None] - z[:, None, :]
-    diff[:, np.arange(deg), np.arange(deg)] = np.inf
-    assert np.array_equal(solver._pairwise_inverse_sum(z), (1.0 / diff).sum(axis=2))
+    diff = z[0, :, None] - z[0, None, :]
+    diff[np.arange(deg), np.arange(deg)] = np.inf
+    ref = (1.0 / diff).sum(axis=1)
+    for idx in (np.arange(deg), np.sort(rng.choice(deg, 300, replace=False))):
+        assert np.array_equal(solver._pairwise_inverse_sum(z[0], idx), ref[idx])
 
     outside, v, p, dp = solver._eval_one_side(coeff_rows, z)
     p_in, dp_in = _horner(coeff_rows, v)
@@ -627,7 +631,8 @@ def test_degree_800_kernels_match_references():
 
 
 def test_roots_of_unity_degree_1000():
-    # degree 1000 > 768 runs every sweep through the blocked pairwise sum
+    # 1000 active points make four blocks of the pairwise sum, the last
+    # one short, until fewer than 769 are left
     d = 1000
     res = roots_univariate([-1] + [0] * (d - 1) + [1])
     assert res.converged.all()
@@ -636,9 +641,139 @@ def test_roots_of_unity_degree_1000():
     assert np.max(np.abs(res.roots - np.exp(2j * np.pi * k / d))) <= 1e-12
 
 
+def _full_set_aberth(coeffs):
+    """The Aberth loop that evaluates every point and forms every S_k each
+    sweep, then keeps the corrections of the active points only.  Returns
+    (roots, converged, sweeps, active points per sweep, rescue sweeps)."""
+    coeff_rows = coeffs[None, :]
+    rows, width = coeff_rows.shape
+    deg = width - 1
+    lc = np.abs(coeff_rows[:, -1])
+    c0 = np.abs(coeff_rows[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = np.where(c0 > 0, (c0 / lc) ** (1.0 / deg), 1.0)
+    radius = np.clip(radius, 1e-3, 1e3)
+    k = np.arange(deg)
+    jitter = ((k * 2654435761) % 997) / 997.0 - 0.5
+    angles = 2 * np.pi * (k + 0.3618) / deg + 1e-3 * jitter
+    z = radius[:, None] * np.exp(1j * angles)[None, :]
+
+    abs_rows = np.abs(coeff_rows)
+    norm1 = abs_rows.sum(axis=1)
+    active = np.ones((rows, deg), dtype=bool)
+    sweeps, counts, rescues = 0, [], 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while sweeps < solver.ABERTH_MAX_SWEEPS and active.any():
+            sweeps += 1
+            counts.append(int(active.sum()))
+            w, p = solver._newton_ratio(coeff_rows, z)
+            diff = z[:, :, None] - z[:, None, :]
+            diff[:, k, k] = np.inf
+            s = (1.0 / diff).sum(axis=2)
+            denom = 1.0 - w * s
+            denom = np.where(denom == 0, 1e-300, denom)
+            corr = w / denom
+            bad = ~np.isfinite(corr)
+            if (bad & active).any():
+                rescues += 1
+            if bad.any():
+                corr = np.where(bad, 0.5 * z, corr)
+            done = np.abs(corr) <= solver.ABERTH_TOL * (1.0 + np.abs(z))
+            done |= solver._at_rounding_floor(abs_rows, norm1, z, p, active & ~done)
+            z = np.where(active, z - corr, z)
+            active &= ~done
+        converged = ~active
+        for _ in range(solver.NEWTON_POLISH_STEPS):
+            step, _ = solver._newton_ratio(coeff_rows, z)
+            ok = np.isfinite(step) & (np.abs(step) <= 1e-2 * (1.0 + np.abs(z)))
+            z = z - np.where(ok, step, 0.0)
+    return z[0], converged[0], sweeps, counts, rescues
+
+
+def _n1_suite_coeffs(d, trial):
+    f = sample_bernoulli_system(1, d, 1, trial).polys[0]
+    return solver.scaled_float_coeffs([f.coeff((k,)) for k in range(d + 1)]).astype(
+        complex
+    )
+
+
+def _from_terms(deg, terms):
+    coeffs = np.zeros(deg + 1, dtype=complex)
+    for j, a in terms.items():
+        coeffs[j] = a
+    return coeffs
+
+
+_ABERTH_CASES = {
+    **{
+        f"n1-suite d={d} trial {t}": _n1_suite_coeffs(d, t)
+        for d in (100, 200, 400)
+        for t in range(3)
+    },
+    # 1000 active points make four blocks of the pairwise sum, the last short
+    "z^1000 - 1": _from_terms(1000, {0: -1, 1000: 1}),
+    # 10 roots are still moving at the sweep cap
+    "1 + 1e200 z^10 + z^20": _from_terms(20, {0: 1, 10: 1e200, 20: 1}),
+    # the evaluation overflows: non-finite corrections take the rescue
+    "sum z^j + 1e308 z^20": _from_terms(40, {j: 1 for j in range(41)} | {20: 1e308}),
+}
+
+
+@pytest.mark.parametrize("case", list(_ABERTH_CASES))
+def test_active_set_aberth_matches_full_set_loop(case):
+    """Stopped points stay frozen in every S_k, so the active-set sweep
+    forms each active point's correction from the same summands, in the
+    same order, as the full-set loop: the roots, their flags and the sweep
+    count are the same bits."""
+    coeffs = _ABERTH_CASES[case]
+    z, converged, sweeps = solver._aberth_batch(coeffs)
+    ref_z, ref_converged, ref_sweeps, _, rescues = _full_set_aberth(coeffs)
+    assert np.array_equal(z, ref_z)
+    assert np.array_equal(converged, ref_converged)
+    assert sweeps == ref_sweeps
+    if case.startswith("1 + 1e200"):
+        assert sweeps == solver.ABERTH_MAX_SWEEPS and (~converged).sum() == 10
+    if case.startswith("sum z^j"):
+        assert rescues > 0
+
+
+@pytest.mark.parametrize("d", [100, 400])
+def test_sweeps_evaluate_only_active_points(monkeypatch, d):
+    # each sweep evaluates and sums over the points still active, not the
+    # degree; the Newton polish after the loop evaluates all of them
+    cases = [_n1_suite_coeffs(d, t) for t in range(3)]
+    ref_counts = [_full_set_aberth(coeffs)[3] for coeffs in cases]
+    evaluated, summed = [], []
+    newton_ratio, pairwise = solver._newton_ratio, solver._pairwise_inverse_sum
+
+    def count_ratio(coeff_rows, z):
+        evaluated.append(z.shape[1])
+        return newton_ratio(coeff_rows, z)
+
+    def count_pairwise(z, idx):
+        summed.append(len(idx))
+        return pairwise(z, idx)
+
+    monkeypatch.setattr(solver, "_newton_ratio", count_ratio)
+    monkeypatch.setattr(solver, "_pairwise_inverse_sum", count_pairwise)
+    total = full = 0
+    for coeffs, ref in zip(cases, ref_counts):
+        evaluated.clear()
+        summed.clear()
+        _, _, sweeps = solver._aberth_batch(coeffs)
+        counts = evaluated[:sweeps]
+        assert evaluated[sweeps:] == [d] * solver.NEWTON_POLISH_STEPS
+        assert counts == summed == ref
+        assert counts[0] == d and counts == sorted(counts, reverse=True)
+        total += sum(counts)
+        full += sweeps * d
+    assert total <= 0.7 * full
+
+
 def test_evaluation_memory_within_pairwise_sum():
     # the factored power table takes O(points * sqrt(degree)) memory, so at
-    # degree 2000 one evaluation needs no more than the pairwise sum
+    # degree 2000, every point active, one evaluation needs no more than
+    # the pairwise sum
     rng = np.random.default_rng(3)
     deg = 2000
     coeff_rows = rng.standard_normal((1, deg + 1)).astype(complex)
@@ -648,7 +783,7 @@ def test_evaluation_memory_within_pairwise_sum():
     peaks = []
     for call in (
         lambda: solver._eval_one_side(coeff_rows, z),
-        lambda: solver._pairwise_inverse_sum(z),
+        lambda: solver._pairwise_inverse_sum(z[0], np.arange(deg)),
     ):
         tracemalloc.start()
         try:
