@@ -3,9 +3,11 @@
 Subcommands: sample, solve, classify, analyze, experiment, enumerate-d1,
 report.  Systems are read from a JSON file argument when given, otherwise
 sampled from --n/--d/--seed/--trial.  Exit codes: 0 success, 2 config
-error, 3 bound violation (a theorem failed), 4 I/O error.  A bound
-violation writes violation_dump.json into the run directory of the
-experiment, or into the current directory when the run has none.
+error, 3 bound violation (a theorem failed) or hard failure (a failed
+exactness self-check, a classifier mismatch, zeros that are not
+isolated), 4 I/O error.  A bound violation writes violation_dump.json
+into the run directory of the experiment, or into the current directory
+when the run has none.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .polynomials import (
     system_to_dict,
 )
 from .resultants import (
+    ComputationError,
     DegenerateSystemError,
     UnsupportedDimensionError,
     classify_exceptional,
@@ -305,7 +308,7 @@ def main(argv=None) -> int:
         except OSError:
             print(json.dumps(dump, sort_keys=True), file=sys.stderr)
         return EXIT_VIOLATION
-    except (ClassifierMismatchError, NonIsolatedError) as exc:
+    except (ClassifierMismatchError, ComputationError, NonIsolatedError) as exc:
         print(f"hard failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except OSError as exc:

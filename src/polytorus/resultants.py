@@ -7,15 +7,20 @@ polynomial on top, computed with a subresultant polynomial remainder
 sequence (no fractions, no coefficient blowup); tests pin it against a
 fraction-free Bareiss determinant of the matrix itself.
 
-Bivariate eliminants Res_x(f1, f2)(y) are recovered by evaluating the
-resultant at enough consecutive integer values of y and interpolating.
-Where a leading coefficient vanishes at a node, the formal-degree
-identity scales the resultant of the actual degrees.  The interpolation
-takes forward differences, divides the k-th by k! to get the Newton
-coefficients and expands the Newton form by Horner's rule, every
-multiplier a small node.  The Newton coefficients are all integers
-exactly when the interpolant has integer coefficients, so their exact
-division is the integrality self-check.
+Bivariate eliminants Res_x(f1, f2)(y) are computed modulo primes just
+below 2^31 and lifted by the Chinese remainder theorem (Collins' modular
+resultant).  The coefficient rows, reduced modulo each prime, are
+evaluated at consecutive integer nodes, and one Euclidean remainder
+sequence on int64 arrays takes the resultant at every (prime, node) pair
+at once.  A pair whose leading coefficient vanishes at the sequence's
+common degree (a formal degree short at that node) takes the exact
+formal-degree resultant of its node instead.  Newton interpolation
+modulo each prime and the symmetric CRT residue give the coefficients.
+The primes are the fewest whose product M satisfies M^2 > 4 s1^m2 s2^m1,
+the Hadamard bound of the Sylvester matrix on |y| = 1, which by Cauchy
+bounds every coefficient.  The exactness self-check is a check node one
+past the interpolation range, where the eliminant must equal the exact
+big-int resultant.
 
 Square-free structure is certified by Euclid on int64 vectors modulo
 the prime 2^31 - 1; a "maybe" falls back to exact Yun decomposition.
@@ -29,6 +34,8 @@ vanishing coordinate.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,9 +250,45 @@ def poly_gcd(a, b):
     return [1] if b else poly_primitive(a)
 
 
-# Mersenne prime of the certificate; residues below it keep every
-# a - c*b of `_gcd_degree_mod` inside int64: (p-1)^2 + p < 2^63
-_SQFREE_PRIME = (1 << 31) - 1
+_PRIMES = []  # the primes below 2^31, largest first, extended on demand
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 7 and 61: exact below 4,759,123,141."""
+    if n < 2:
+        return False
+    for a in (2, 7, 61):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes(count: int) -> list:
+    """The `count` largest primes below 2^31, largest first."""
+    n = _PRIMES[-1] if _PRIMES else 1 << 31
+    while len(_PRIMES) < count:
+        n -= 1
+        if _is_prime(n):
+            _PRIMES.append(n)
+    return _PRIMES[:count]
+
+
+# the certificate's prime is the largest, 2^31 - 1; below any of them a
+# product of two residues, or the difference of two products, fits int64
+_SQFREE_PRIME = _primes(1)[0]
 
 
 def _gcd_degree_mod(a, b, p) -> int | None:
@@ -335,7 +378,9 @@ def roots_structure(p):
 
 
 # ---------------------------------------------------------------------------
-# bivariate eliminant by evaluation / interpolation
+# bivariate eliminant: node resultants modulo word-size primes, then CRT
+
+_INT64_LIMIT = 1 << 63  # reductions mod p are deferred while values stay below
 
 
 def _coeff_rows(f: IntPolynomial, var: int):
@@ -360,32 +405,6 @@ def _eval_int(coeffs, x: int) -> int:
     return acc
 
 
-def _interpolate_integers(lo: int, values) -> list:
-    """The unique integer polynomial through (lo+i, values[i]).
-
-    Newton form on the consecutive nodes x_k = lo + k: the coefficient
-    c_k = Δ^k p(lo) / k! is an integer for every k exactly when p has
-    integer coefficients, so an inexact division means a bug upstream.
-    Horner's rule acc <- acc * (y - x_k) + c_k then expands the form
-    with small-integer multipliers.
-    """
-    row = list(values)
-    newton = [row[0]]
-    fact = 1
-    for k in range(1, len(row)):
-        row = [b - a for a, b in zip(row, row[1:])]
-        fact *= k
-        c, r = divmod(row[0], fact)
-        if r:
-            raise ComputationError("eliminant interpolation gave a non-integer")
-        newton.append(c)
-    acc = [newton[-1]]
-    for k in range(len(newton) - 2, -1, -1):
-        node = lo + k
-        acc = [s - node * a for s, a in zip([newton[k]] + acc, acc)] + [acc[-1]]
-    return trim(acc)
-
-
 def _formal_resultant(c1, c2, m1: int, m2: int) -> int:
     """Sylvester determinant of c1, c2 at formal degrees m1, m2, not both 0.
 
@@ -408,15 +427,217 @@ def _formal_resultant(c1, c2, m1: int, m2: int) -> int:
     return t1[-1] ** (m2 - k2) * resultant_univariate(t1, t2)
 
 
+def _crt_primes(bound_sq: int) -> list:
+    """The fewest of `_primes` whose product M satisfies M^2 > bound_sq."""
+    primes, modulus = [], 1
+    while modulus * modulus <= bound_sq:
+        primes = _primes(len(primes) + 1)
+        modulus *= primes[-1]
+    return primes
+
+
+def _pow_mod(x, e: int, p):
+    """x^e mod p elementwise, for one exponent e >= 0."""
+    out = np.ones_like(x)
+    while e:
+        if e & 1:
+            out = out * x % p
+        e >>= 1
+        if e:
+            x = x * x % p
+    return out
+
+
+def _inverse_mod(x, primes):
+    """1/x modulo each prime, for a (P, K) array with no zero entry.
+
+    Montgomery's batch inversion: prefix and suffix products along each
+    row by doubling scans, then one Fermat inverse x^(p-2) of the row's
+    product: 1/x_k = (prod_{j<k} x_j)(prod_{j>k} x_j) / prod_j x_j.
+    """
+    p = np.array(primes, dtype=np.int64)[:, None]
+    left, right = x.copy(), x.copy()
+    step = 1
+    while step < x.shape[1]:
+        left[:, step:] = left[:, step:] * left[:, :-step] % p
+        right[:, :-step] = right[:, :-step] * right[:, step:] % p
+        step *= 2
+    total = [[pow(int(t), q - 2, q)] for t, q in zip(left[:, -1], primes)]
+    out = np.array(total, dtype=np.int64).repeat(x.shape[1], axis=1)
+    out[:, 1:] = out[:, 1:] * left[:, :-1] % p
+    out[:, :-1] = out[:, :-1] * right[:, 1:] % p
+    return out
+
+
+def _resultants_mod(rows1, rows2, lo: int, count: int, primes) -> np.ndarray:
+    """(P, count) int64: the formal-degree Sylvester resultant of the two
+    coefficient rows at the nodes lo, ..., lo + count - 1, modulo each
+    of the P primes.
+
+    The rows are reduced modulo each prime in Python and evaluated at
+    every node by Horner's rule on int64.  Then one Euclidean remainder
+    sequence runs on all (prime, node) pairs at once, a polynomial being
+    a (degree + 1, pairs) array.  Each step is fraction-free:
+    deg a - deg b + 1 updates a <- lc(b) a - c x^k b give the
+    pseudo-remainder, and the powers of lc(b) that relate it to the
+    resultant go into a numerator and a denominator, inverted once at
+    the end.  The remainder's degree is the highest one nonzero in any
+    pair.  A pair whose own coefficient there vanishes (a leading
+    coefficient short at its node, or a prime dividing it) is zeroed,
+    and its node takes the exact `_formal_resultant`, once per node.
+    """
+    m1, m2 = len(rows1) - 1, len(rows2) - 1
+    rows = rows1 + rows2
+    width = max(len(row) for row in rows)
+    p = np.array(primes, dtype=np.int64)
+    top = max(primes)
+    flat = [c for row in rows for c in row + [0] * (width - len(row))]
+    coef = np.array([[c % q for c in flat] for q in primes], dtype=np.int64)
+    coef = coef.reshape(len(primes), len(rows), width).T  # (width, rows, primes)
+    nodes = lo + np.arange(count, dtype=np.int64)
+    reach = max(-lo, lo + count - 1)
+    ev = np.zeros((len(rows), len(primes), count), dtype=np.int64)
+    size = 0  # bounds |ev|; reduce only when the next step could overflow
+    for j in range(width - 1, -1, -1):
+        if size * reach + top >= _INT64_LIMIT:
+            ev %= p[:, None]
+            size = top
+        ev = ev * nodes + coef[j, :, :, None]
+        size = size * reach + top
+    ev = (ev % p[:, None]).reshape(len(rows), -1)  # pair i * count + k
+    pv = np.repeat(p, count)
+    # Res(a, b) = (-1)^(deg a deg b) Res(b, a): the higher degree first
+    a, b, da, db = ev[: m1 + 1], ev[m1 + 1 :], m1, m2
+    negate = False
+    if da < db:
+        a, b, da, db = b, a, db, da
+        negate = bool(da * db & 1)
+    short = (a[da] == 0) | (b[db] == 0)
+    b = np.where(short, 0, b)
+    num = np.ones_like(pv)
+    den = np.ones_like(pv)
+    while db > 0:
+        # prem = lc(b)^(da-db+1) a mod b, of degree r:
+        # Res(a, b) = (-1)^(da db) lc(b)^(da-r-(da-db+1) db) Res(b, prem)
+        lcb = b[db]
+        r = a
+        for k in range(da - db, -1, -1):
+            t = r[: db + k] * lcb
+            t[k:] -= r[db + k] * b[:db]
+            r = t % pv
+        nonzero = np.flatnonzero(r.any(axis=1))
+        if not nonzero.size:
+            num[:] = 0  # the remainder vanishes at every node: a common factor
+            break
+        dr = int(nonzero[-1])
+        negate ^= bool(da * db & 1)
+        e = da - dr - (da - db + 1) * db
+        if e >= 0:
+            num = num * _pow_mod(lcb, e, pv) % pv
+        else:
+            den = den * _pow_mod(lcb, -e, pv) % pv
+        r = r[: dr + 1]
+        lost = r[dr] == 0
+        if lost.any():
+            short |= lost
+            r = np.where(lost, 0, r)
+        a, b, da, db = b, r, db, dr
+    else:
+        num = num * _pow_mod(b[0], da, pv) % pv  # Res(a, c) = c^deg(a)
+    den[short] = 1  # their nodes are taken exactly below
+    values = num * _inverse_mod(den.reshape(len(primes), count), primes).ravel() % pv
+    if negate:
+        values = (pv - values) % pv
+    values = values.reshape(len(primes), count)
+    for k in np.flatnonzero(short.reshape(len(primes), count).any(axis=0)):
+        node = lo + int(k)
+        exact = _formal_resultant(
+            [_eval_int(row, node) for row in rows1],
+            [_eval_int(row, node) for row in rows2],
+            m1,
+            m2,
+        )
+        values[:, k] = [exact % q for q in primes]
+    return values
+
+
+@functools.lru_cache(maxsize=64)
+def _inverse_factorials(primes: tuple, count: int) -> np.ndarray:
+    """(count, P) int64: 1/k! modulo each prime, for k < count < p."""
+    out = []
+    for q in primes:
+        fact = 1
+        for k in range(2, count):
+            fact = fact * k % q
+        inv = pow(fact, q - 2, q)  # 1/(count-1)!
+        row = [0] * count
+        for k in range(count - 1, -1, -1):
+            row[k] = inv
+            inv = inv * k % q  # 1/(k-1)! = k/k!
+        out.append(row)
+    table = np.array(out, dtype=np.int64).T.copy()
+    table.flags.writeable = False  # one cached array for every caller
+    return table
+
+
+def _interpolate_mod(values, lo: int, primes) -> np.ndarray:
+    """(K, P) int64: low-to-high coefficients, modulo each prime, of the
+    polynomial of degree < K through (lo + k, values[:, k]).
+
+    In place: K - 1 rounds of forward differences leave Delta^k p(lo) in
+    row k; times 1/k! these are the Newton coefficients on the nodes
+    lo + k, and Horner's rule acc <- acc * (y - lo - k) + c_k, run from
+    the top row down, expands the Newton form.  Both loops reduce modulo
+    p only when the next round could overflow int64.
+    """
+    p = np.array(primes, dtype=np.int64)
+    top = max(primes)
+    c = values.T.copy()
+    count = len(c)
+    size = top
+    for k in range(1, count):
+        if 2 * size >= _INT64_LIMIT:
+            c[k - 1 :] %= p
+            size = top
+        c[k:] = c[k:] - c[k - 1 : -1]
+        size *= 2
+    c = c % p * _inverse_factorials(tuple(primes), count) % p
+    size = top
+    for k in range(count - 2, -1, -1):
+        grow = 1 + abs(lo + k)
+        if size * grow >= _INT64_LIMIT:
+            c[k:] %= p
+            size = top
+        c[k:-1] -= (lo + k) * c[k + 1 :]
+        size *= grow
+    return c % p
+
+
+def _crt_symmetric(residues, primes) -> list:
+    """Per row of the (K, P) residues, the integer in (-M/2, M/2) with
+    those residues, M the product of the primes."""
+    modulus = math.prod(primes)
+    # e_i is 1 modulo the i-th prime and 0 modulo the others
+    basis = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+    half = modulus // 2
+    out = []
+    for row in residues.tolist():
+        x = sum(r * e for r, e in zip(row, basis)) % modulus
+        out.append(x - modulus if x > half else x)
+    return out
+
+
 def eliminant_bivariate(f1: IntPolynomial, f2: IntPolynomial, eliminate) -> list:
     """Res_{x_k}(f1, f2) as an exact integer polynomial in the other variable.
 
-    `eliminate` is "x"/0 or "y"/1.  Evaluation at consecutive integer
-    nodes plus exact interpolation; every node takes the formal-size
-    Sylvester determinant, which matches the polynomial determinant
-    evaluated there, also where a leading coefficient vanishes.  Returns
-    [] when the eliminant is identically zero (shared factor /
-    non-isolated zeros).
+    `eliminate` is "x"/0 or "y"/1.  The formal-size Sylvester determinant,
+    which matches the polynomial determinant evaluated at a node also
+    where a leading coefficient vanishes there, is taken at consecutive
+    integer nodes modulo enough primes (`_resultants_mod`), interpolated
+    modulo each and lifted by CRT.  The check node one past the nodes
+    must agree with the exact resultant there, or ComputationError is
+    raised.  Returns [] when the eliminant is identically zero (shared
+    factor / non-isolated zeros).
     """
     var = {"x": 0, "y": 1, 0: 0, 1: 1}.get(eliminate)
     if var is None:
@@ -434,13 +655,23 @@ def eliminant_bivariate(f1: IntPolynomial, f2: IntPolynomial, eliminate) -> list
     e1 = max(degree(r) for r in rows1)
     e2 = max(degree(r) for r in rows2)
     bound = min(f1.degree * f2.degree, m2 * max(e1, 0) + m1 * max(e2, 0))
-    lo = -(bound // 2)
-    values = []
-    for k in range(lo, lo + bound + 1):
-        c1 = [_eval_int(r, k) for r in rows1]
-        c2 = [_eval_int(r, k) for r in rows2]
-        values.append(_formal_resultant(c1, c2, m1, m2))
-    return _interpolate_integers(lo, values)
+    lo, count = -(bound // 2), bound + 1
+    # on |y| = 1 a Sylvester row of f_i has squared norm at most
+    # s_i = sum (sum |c|)^2 over its rows; by Hadamard and Cauchy every
+    # coefficient is at most sqrt(s1^m2 s2^m1) < M/2
+    s1, s2 = (sum(sum(map(abs, row)) ** 2 for row in rows)
+              for rows in (rows1, rows2))
+    primes = _crt_primes(4 * s1**m2 * s2**m1)
+    values = _resultants_mod(rows1, rows2, lo, count, primes)
+    r = trim(_crt_symmetric(_interpolate_mod(values, lo, primes), primes))
+    node = lo + count
+    c1 = [_eval_int(row, node) for row in rows1]
+    c2 = [_eval_int(row, node) for row in rows2]
+    if _eval_int(r, node) != _formal_resultant(c1, c2, m1, m2):
+        raise ComputationError(
+            f"eliminant disagrees with the exact resultant at its check node {node}"
+        )
+    return r
 
 
 # ---------------------------------------------------------------------------

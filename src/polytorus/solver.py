@@ -577,8 +577,9 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
     `cross_check_mismatches`.  Raises NonIsolatedError when either
     eliminant vanishes identically.
 
-    Desk scale: total degrees up to ~12 per input (eliminant degree 144);
-    beyond that the exact node resultants dominate.
+    Desk scale: total degrees up to ~16 per input (eliminant degree 256).
+    The eliminants, taken modulo word-size primes, are about a fifth of
+    a solve at d = 10 to 16; root finding and pairing take the rest.
     """
     ry = eliminant_bivariate(f1, f2, "x")  # polynomial in y
     rx = eliminant_bivariate(f1, f2, "y")  # polynomial in x

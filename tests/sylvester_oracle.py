@@ -1,7 +1,9 @@
-"""Sylvester matrix and Bareiss determinant: the sign oracle of the
-resultant tests.  Slow and plainly correct; the package never calls it."""
+"""Big-int oracles of the resultant tests: the Sylvester matrix and its
+Bareiss determinant (the sign oracle), and interpolation over the
+integers (the eliminant oracle).  Slow and plainly correct; the package
+never calls them."""
 
-from polytorus.resultants import ComputationError, ResultantError, degree
+from polytorus.resultants import ComputationError, ResultantError, degree, trim
 
 
 def sylvester_matrix(f, g, formal_deg_f=None, formal_deg_g=None):
@@ -57,3 +59,29 @@ def det_bareiss(matrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def _interpolate_integers(lo: int, values) -> list:
+    """The unique integer polynomial through (lo+i, values[i]).
+
+    Newton form on the consecutive nodes x_k = lo + k: the coefficient
+    c_k = Δ^k p(lo) / k! is an integer for every k exactly when p has
+    integer coefficients, so an inexact division means a bug upstream.
+    Horner's rule acc <- acc * (y - x_k) + c_k then expands the form
+    with small-integer multipliers.
+    """
+    row = list(values)
+    newton = [row[0]]
+    fact = 1
+    for k in range(1, len(row)):
+        row = [b - a for a, b in zip(row, row[1:])]
+        fact *= k
+        c, r = divmod(row[0], fact)
+        if r:
+            raise ComputationError("eliminant interpolation gave a non-integer")
+        newton.append(c)
+    acc = [newton[-1]]
+    for k in range(len(newton) - 2, -1, -1):
+        node = lo + k
+        acc = [s - node * a for s, a in zip([newton[k]] + acc, acc)] + [acc[-1]]
+    return trim(acc)

@@ -216,6 +216,28 @@ def test_non_isolated_exit_code(tmp_path, capsys):
     assert rc == 3
 
 
+def test_failed_exactness_self_check_exits_3(monkeypatch, capsys):
+    # a corrupted residue makes the eliminant miss its check node: a hard
+    # failure with one line on stderr, not a traceback
+    import polytorus.resultants as res
+
+    original = res._resultants_mod
+
+    def corrupt(*args):
+        values = original(*args)
+        values[0, 0] = (values[0, 0] + 1) % args[-1][0]
+        return values
+
+    monkeypatch.setattr(res, "_resultants_mod", corrupt)
+    rc = main(["solve", "--n", "2", "--d", "3", "--seed", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hard failure: eliminant disagrees")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_classify_missing_args(capsys):
     rc = main(["classify"])
     assert rc == 2

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylvester_oracle import det_bareiss, sylvester_matrix
+from sylvester_oracle import _interpolate_integers, det_bareiss, sylvester_matrix
 
+import polytorus.resultants as res
 from polytorus.polynomials import IntPolynomial, sample_bernoulli_system
 from polytorus.resultants import (
     _SQFREE_PRIME,
@@ -16,8 +19,9 @@ from polytorus.resultants import (
     DegenerateSystemError,
     ResultantError,
     UnsupportedDimensionError,
+    _crt_primes,
     _formal_resultant,
-    _interpolate_integers,
+    _primes,
     classify_exceptional,
     directional_resultant,
     eliminant_bivariate,
@@ -344,6 +348,202 @@ def test_eliminant_at_short_nodes_matches_sylvester_oracle(name, monkeypatch):
     for y in range(-8, 9):  # more points than deg r + 1: pins every coefficient
         value = sum(c * y**i for i, c in enumerate(r))
         assert value == _sylvester_in_x_at(f1, f2, y)
+
+
+def _node_problem(f1, f2, axis):
+    """(rows1, rows2, m1, m2, lo, count): the coefficient rows in the
+    eliminated variable and the interpolation nodes the package uses."""
+    var = "xy".index(axis)
+    rows = []
+    for f in (f1, f2):
+        m = max(e[var] for e, _ in f.terms)
+        w = max(e[1 - var] for e, _ in f.terms)
+        r = [[0] * (w + 1) for _ in range(m + 1)]
+        for e, c in f.terms:
+            r[e[var]][e[1 - var]] = c
+        rows.append(r)
+    m1, m2 = len(rows[0]) - 1, len(rows[1]) - 1
+    e1, e2 = (max(len(trim(r)) - 1 for r in rs) for rs in rows)
+    bound = min(f1.degree * f2.degree, m2 * max(e1, 0) + m1 * max(e2, 0))
+    return rows[0], rows[1], m1, m2, -(bound // 2), bound + 1
+
+
+def _at(rows, y):
+    return [sum(c * y**i for i, c in enumerate(r)) for r in rows]
+
+
+def _big_int_eliminant(f1, f2, axis):
+    """The eliminant oracle: the exact `_formal_resultant` at every node
+    and big-int interpolation."""
+    rows1, rows2, m1, m2, lo, count = _node_problem(f1, f2, axis)
+    values = [_formal_resultant(_at(rows1, y), _at(rows2, y), m1, m2)
+              for y in range(lo, lo + count)]
+    return _interpolate_integers(lo, values)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8, 9, 10, 11, 12, 16])
+def test_eliminant_matches_big_int_oracle(d):
+    # default-suite systems (its master seed) on both axes; the sequence
+    # over Z[y] is abnormal for some of them, which the oracle does not see
+    cfg = json.load(open(CONFIG_DIR / "default_suite_n2.json"))
+    for t in range(1 if d == 16 else 3):
+        s = sample_bernoulli_system(2, d, cfg["master_seed"], t)
+        for axis in "xy":
+            assert eliminant_bivariate(*s.polys, axis) == _big_int_eliminant(
+                *s.polys, axis
+            )
+
+
+def _random_system(rng, d, bits):
+    """Two full bivariate polynomials of degree d with random coefficients
+    of exactly `bits` bits and random signs."""
+    def one():
+        top = 1 << (bits - 1)
+        return poly(2, {(i, j): rng.choice((-1, 1)) * (top | rng.getrandbits(bits - 1))
+                        for i in range(d + 1) for j in range(d + 1 - i)})
+
+    return one(), one()
+
+
+@pytest.mark.parametrize("bits", [40, 100, 200])
+@pytest.mark.parametrize("d", [3, 5])
+def test_eliminant_of_large_coefficients_matches_big_int_oracle(d, bits):
+    # coefficients far past int64: they are reduced in Python first, and
+    # the prime list grows as far as the Hadamard bound needs
+    rng = random.Random(1000 * d + bits)
+    for _ in range(2):
+        f1, f2 = _random_system(rng, d, bits)
+        for axis in "xy":
+            r = eliminant_bivariate(f1, f2, axis)
+            assert r == _big_int_eliminant(f1, f2, axis)
+            assert max(abs(c) for c in r).bit_length() > 2 * d * bits
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 2), (1, 3), (3, 1), (2, 5), (3, 5), (5, 2)])
+def test_eliminant_of_unequal_degrees_matches_big_int_oracle(d1, d2):
+    # odd m1 m2 with m1 < m2: the sequence starts from f2, with a sign
+    rng = random.Random(10 * d1 + d2)
+    for _ in range(3):
+        f1, f2 = (poly(2, {(i, j): rng.randint(-3, 3) or 1
+                           for i in range(d + 1) for j in range(d + 1 - i)})
+                  for d in (d1, d2))
+        for axis in "xy":
+            assert eliminant_bivariate(f1, f2, axis) == _big_int_eliminant(f1, f2, axis)
+
+
+def test_primes_are_the_largest_below_2_31_in_order():
+    import sympy
+
+    primes = _primes(120)
+    expected = [sympy.prevprime(1 << 31)]
+    while len(expected) < 120:
+        expected.append(sympy.prevprime(expected[-1]))
+    assert primes == expected
+    assert primes[0] == _SQFREE_PRIME == (1 << 31) - 1
+    assert all(sympy.isprime(q) for q in _primes(len(res._PRIMES)))
+    # strong pseudoprimes to base 2 (the first five, and one to the bases
+    # 2, 3, 5, 7 below 4,759,123,141), Carmichael numbers, small numbers
+    for n in (2047, 3277, 4033, 4681, 8321, 3215031751, 561, 1105, 41041,
+              *range(100), *range(2**31 - 3000, 2**31 + 3000)):
+        assert res._is_prime(n) == sympy.isprime(n), n
+
+
+def test_crt_primes_are_the_fewest_over_the_bound():
+    for bound_sq in (1, 2**61, 2**62, 2**200, 3**900):
+        primes = _crt_primes(bound_sq)
+        assert primes == _primes(len(primes))
+        modulus = math.prod(primes)
+        assert modulus**2 > bound_sq >= (modulus // primes[-1]) ** 2
+
+
+def _euclid_degrees(c1, c2, m1, m2):
+    """Degrees of the remainders of Euclid over Q on c1, c2 (the higher
+    formal degree first), or None where a formal degree is short."""
+    if len(trim(c1)) - 1 != m1 or len(trim(c2)) - 1 != m2:
+        return None
+    a, b = [Fraction(c) for c in c1], [Fraction(c) for c in c2]
+    if m1 < m2:
+        a, b = b, a
+    degrees = []
+    while len(b) > 1:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            for j, c in enumerate(b):
+                a[len(a) - len(b) + j] -= q * c
+            a.pop()
+        a, b = b, trim(a)
+        degrees.append(len(b) - 1)
+    return degrees
+
+
+# f2 = x y + 2 is short at y = 0 and f1 = (x + 2)(y + 1) vanishes at
+# y = -1: pairs flagged there must not steer the common degree
+FALLBACK_SYSTEMS = {
+    **SHORT_NODE_SYSTEMS,
+    "linear-short": ({(0, 0): 2, (0, 1): 2, (1, 1): 1, (1, 0): 1},
+                     {(0, 0): 2, (1, 1): 1}),
+}
+
+
+@pytest.mark.parametrize("scale", [1, 2**100 + 1])
+@pytest.mark.parametrize("name", sorted(FALLBACK_SYSTEMS))
+def test_only_nodes_off_the_common_degrees_take_exact_resultants(
+    name, scale, monkeypatch
+):
+    # the exact fallback runs once per node (not per prime; 100-bit
+    # coefficients need several primes), at exactly the nodes whose
+    # sequence over Q is short or leaves the lexicographically highest
+    # degree sequence, which the int64 sequence follows
+    f1, f2 = (poly(2, {e: scale * c for e, c in sys.items()})
+              for sys in FALLBACK_SYSTEMS[name])
+    rows1, rows2, m1, m2, lo, count = _node_problem(f1, f2, "x")
+    at_node = {(tuple(_at(rows1, y)), tuple(_at(rows2, y))): y
+               for y in range(lo, lo + count + 1)}
+    seqs = {y: _euclid_degrees(*map(list, key), m1, m2) for key, y in at_node.items()
+            if y < lo + count}
+    generic = max(q for q in seqs.values() if q is not None)
+    calls = []
+
+    def spy(c1, c2, m1, m2):
+        calls.append(at_node[tuple(c1), tuple(c2)])
+        return _formal_resultant(c1, c2, m1, m2)
+
+    monkeypatch.setattr(res, "_formal_resultant", spy)
+    r = eliminant_bivariate(f1, f2, "x")
+    monkeypatch.undo()
+    assert r == _big_int_eliminant(f1, f2, "x")
+    assert calls[-1] == lo + count  # the check node
+    assert sorted(calls[:-1]) == [y for y, q in sorted(seqs.items()) if q != generic]
+
+
+def test_corrupted_residue_fails_the_check_node(monkeypatch):
+    s = sample_bernoulli_system(2, 5, 1, 0)
+    original = res._resultants_mod
+
+    def corrupt(*args):
+        values = original(*args)
+        values[-1, 3] = (values[-1, 3] + 1) % args[-1][-1]
+        return values
+
+    monkeypatch.setattr(res, "_resultants_mod", corrupt)
+    for axis in "xy":
+        with pytest.raises(ComputationError, match="check node"):
+            eliminant_bivariate(*s.polys, axis)
+
+
+def test_one_prime_short_of_the_bound_fails_the_check_node(monkeypatch):
+    # Res_x(C x + C y, C x - C) = -C^2 (1 + y) with C^2 just above the
+    # product of k primes; 4 s1 s2 = 16 C^4 asks for k + 1, and k are too few
+    k = 3
+    c = math.isqrt(math.prod(_primes(k))) + 1
+    f1 = poly(2, {(1, 0): c, (0, 1): c})
+    f2 = poly(2, {(1, 0): c, (0, 0): -c})
+    assert eliminant_bivariate(f1, f2, "x") == [-c * c, -c * c]
+    assert len(res._crt_primes(16 * c**4)) == k + 1
+    original = res._crt_primes
+    monkeypatch.setattr(res, "_crt_primes", lambda bound_sq: original(bound_sq)[:-1])
+    with pytest.raises(ComputationError, match="check node"):
+        eliminant_bivariate(f1, f2, "x")
 
 
 def test_interpolation_round_trip():
