@@ -64,7 +64,7 @@ def _log_abs_big(x) -> float:
     return math.log(x >> (b - 64)) + (b - 64) * math.log(2.0)
 
 
-def _arguments(cycle: ZeroCycle) -> np.ndarray:
+def arguments(cycle: ZeroCycle) -> np.ndarray:
     """(degree, dim) arguments in (-pi, pi], multiplicity expanded."""
     coords = cycle.coords_array()
     args = np.angle(coords)
@@ -98,92 +98,78 @@ def _angle_grid_1d(args: np.ndarray, grid: int) -> float:
 CHUNK_FLOATS = 2**16  # per-array bound of the box scan; 512 KiB stays in cache
 
 
-def _box_scan(cum, n, a1, b1, c1, ends2) -> float:
-    """Sup of |box mass - c * side_2| over axis-1 cut pairs and axis-2 cuts.
-
-    `cum` holds the 2d cumulative masses; pair p selects the axis-1 slab
-    between cuts a1[p] and b1[p], whose cumulative masses along axis 2
-    are M = cum[b1[p]] - cum[a1[p]].  `c1` lists per-pair scale arrays,
-    one per axis-1 length variant, with Haar mass c * side_2.  Each entry
-    (b_cols, hi, a_cols, lo) of `ends2` is an axis-2 length variant: over
-    index pairs i <= j, side_2 = hi[j] - lo[i] and the slab mass of the
-    box is M[b_cols][j] - M[a_cols][i].  The error splits into
-    F[j] - G[i] with F = M[b_cols] - c hi and G = M[a_cols] - c lo, so its
-    largest modulus over i <= j is the larger of max(F - cummin G) and
-    max(cummax G - F): O(1) per (pair, cut) instead of O(cuts).  Pairs go
-    in chunks, so every array allocated here holds at most CHUNK_FLOATS
-    floats.
-    """
-    best = 0.0
-    rows = max(1, CHUNK_FLOATS // cum.shape[1])
-    for start in range(0, a1.size, rows):
-        sl = slice(start, start + rows)
-        mass = (cum[b1[sl]] - cum[a1[sl]]) / n
-        for c in c1:
-            c = c[sl, None]
-            for b_cols, hi, a_cols, lo in ends2:
-                f = mass[:, b_cols] - c * hi
-                g = mass[:, a_cols] - c * lo
-                best = max(
-                    best,
-                    float((f - np.minimum.accumulate(g, axis=1)).max()),
-                    float((np.maximum.accumulate(g, axis=1) - f).max()),
-                )
-    return best
-
-
-def _cum_counts(r1, r2, m1, m2, mults) -> np.ndarray:
-    """cum[i, j] = mass of the points with rank r1 < i and r2 < j."""
-    hist = np.zeros((m1 + 1, m2 + 1))
-    np.add.at(hist, (r1 + 1, r2 + 1), mults)
-    return hist.cumsum(axis=0).cumsum(axis=1)
-
-
-def _angle_exact_2d(args: np.ndarray, mults: np.ndarray) -> float:
-    """Exact 2d supremum, O(N^3).
-
-    Per axis, with u the sorted unique arguments (m of them), a cut pair
-    (a, b), 0 <= a <= b <= m, selects the points of rank in [a, b).  The
-    realizable side lengths for that content range between
-    len_min = u[b-1] - u[a] (both boundaries pinched onto data points via
-    limit variants; 0 when a == b) and len_max = hi[b] - lo[a] with
-    lo = (-pi, u...) and hi = (u..., pi).  The supremum is attained at one
-    of the four length combinations.
-    """
-    n = int(mults.sum())
-    u1 = np.unique(args[:, 0])
-    u2 = np.unique(args[:, 1])
-    m1, m2 = u1.size, u2.size
-    cum = _cum_counts(
-        np.searchsorted(u1, args[:, 0]), np.searchsorted(u2, args[:, 1]), m1, m2, mults
-    )
-    a1, b1 = np.nonzero(np.triu(np.ones((m1 + 1, m1 + 1), dtype=bool)))
-    lo1 = np.concatenate(([-np.pi], u1))
-    hi1 = np.concatenate((u1, [np.pi]))
-    min1 = np.zeros(a1.size)
-    inner = a1 < b1
-    min1[inner] = u1[b1[inner] - 1] - u1[a1[inner]]
-    four_pi2 = 4 * np.pi**2
-    c1 = [min1 / four_pi2, (hi1[b1] - lo1[a1]) / four_pi2]
-    lo2 = np.concatenate(([-np.pi], u2))
-    hi2 = np.concatenate((u2, [np.pi]))
-    ends2 = [
-        (slice(None), hi2, slice(None), lo2),  # len_max over a <= b
-        (slice(1, None), u2, slice(None, -1), u2),  # len_min: b - 1 >= a
-    ]
-    return _box_scan(cum, n, a1, b1, c1, ends2)
-
-
-def _angle_grid_2d(args: np.ndarray, mults: np.ndarray, grid: int) -> float:
-    n = int(mults.sum())
-    # points exactly on a boundary belong to the lower bin ((alpha, beta])
+def argument_bins(args: np.ndarray, grid: int) -> np.ndarray:
+    """Bin of each argument among `grid` equal arcs of (-pi, pi]; a point
+    on a boundary belongs to the lower bin ((alpha, beta])."""
     idx = np.ceil((args + np.pi) * grid / (2 * np.pi)).astype(int) - 1
-    idx = np.clip(idx, 0, grid - 1)
-    cum = _cum_counts(idx[:, 0], idx[:, 1], grid, grid, mults)
-    a1, b1 = np.nonzero(np.triu(np.ones((grid + 1, grid + 1), dtype=bool), 1))
-    edges = np.arange(grid + 1) / grid
-    ends2 = [(slice(None), edges, slice(None), edges)]
-    return _box_scan(cum, n, a1, b1, [(b1 - a1) / grid], ends2)
+    return np.clip(idx, 0, grid - 1)
+
+
+def _errors(mass_f, cuts_f, mass_g, cuts_g, c, f, g, extremum):
+    """F[j] - extremum(G[0..j]), written into `f`, with the axis-2 cuts as
+    rows: F = mass_f - c cuts_f and G = mass_g - c cuts_g (G in `g`).
+    The prefix extremum is one `extremum(..., out=)` per row, vectorized
+    across the pairs."""
+    np.multiply.outer(cuts_f, c, out=f)
+    np.subtract(mass_f, f, out=f)
+    np.multiply.outer(cuts_g, c, out=g)
+    np.subtract(mass_g, g, out=g)
+    for k in range(1, g.shape[0]):
+        extremum(g[k], g[k - 1], out=g[k])
+    return np.subtract(f, g, out=f)
+
+
+def _scan_2d(pos, width, start, end, norm1, norm2) -> float:
+    """Sup of |box mass - box area| over boxes cut at the points.
+
+    Per axis, with u the sorted unique positions (m of them), a cut pair
+    (a, b), 0 <= a <= b <= m, selects the points of rank in [a, b).  A box
+    side with that content runs from len_min = u[b-1] + width - u[a] (0
+    when a == b) to len_max = hi[b] - lo[a], with lo = (start, u + width)
+    and hi = (u, end).  Exact mode takes the arguments with width 0 (the
+    boundaries pinched onto data points through limit variants), grid
+    mode the occupied bins with width 1.  The area is
+    (len_1 / norm1) (len_2 / norm2).  For a fixed content, mass - area
+    peaks at len_min on both axes and area - mass at len_max on both, so
+    each axis-1 pair takes one pass per sign over the axis-2 cuts.  With
+    c = len_1 / norm1 and M the pair's slab masses at the axis-2 cuts, a
+    pass's error is F[j] - G[i] over cuts i <= j, F = M[j] - c hi[j] and
+    G = M[i] - c lo[i] (len_min: F over j >= 1 at lo, G over i < m at
+    hi), and a prefix extremum of G makes it O(1) per (pair, cut).  A
+    chunk holds the axis-2 cuts as rows and the axis-1 pairs as columns,
+    so every array allocated per chunk holds at most CHUNK_FLOATS floats.
+    """
+    n = pos.shape[0]
+    (u1, r1), (u2, r2) = (np.unique(pos[:, j], return_inverse=True) for j in (0, 1))
+    # cum[j, i] = mass of the points with rank r2 < j and r1 < i
+    cum = np.zeros((u2.size + 1, u1.size + 1))
+    np.add.at(cum, (r2 + 1, r1 + 1), 1.0)
+    np.cumsum(cum, axis=0, out=cum)
+    np.cumsum(cum, axis=1, out=cum)
+    lo1 = np.concatenate(([start], u1 + width))
+    hi1 = np.concatenate((u1, [end]))
+    lo2 = np.concatenate(([start], u2 + width)) / norm2
+    hi2 = np.concatenate((u2, [end])) / norm2
+    a1, b1 = np.triu_indices(u1.size + 1)
+    rows = cum.shape[0]
+    step = max(1, CHUNK_FLOATS // rows)
+    buffers = np.empty((3, rows * min(step, a1.size)))
+    best = 0.0
+    for s in range(0, a1.size, step):
+        a, b = a1[s : s + step], b1[s : s + step]
+        mass, f, g = buffers[:, : rows * a.size].reshape(3, rows, a.size)
+        np.take(cum, b, axis=1, out=f, mode="clip")  # "clip": no buffered copy
+        np.take(cum, a, axis=1, out=g, mode="clip")
+        np.divide(np.subtract(f, g, out=mass), n, out=mass)
+        # mass - area at len_min: F over cuts j >= 1 at lo, G over i < m at hi
+        c = np.where(a < b, lo1[b] - hi1[a], 0.0) / norm1
+        err = _errors(mass[1:], lo2[1:], mass[:-1], hi2[:-1], c, f[1:], g[:-1], np.minimum)
+        best = max(best, float(err.max()))
+        # area - mass at len_max, over cuts i <= j
+        c = (hi1[b] - lo1[a]) / norm1
+        err = _errors(mass, hi2, mass, lo2, c, f, g, np.maximum)
+        best = max(best, -float(err.min()))
+    return best
 
 
 def angle_discrepancy(cycle: ZeroCycle, mode: str = "exact", grid: int = 64) -> float:
@@ -196,15 +182,14 @@ def angle_discrepancy(cycle: ZeroCycle, mode: str = "exact", grid: int = 64) -> 
     """
     if cycle.degree < 1:
         raise DiscrepancyError("angle discrepancy of an empty cycle")
-    args = _arguments(cycle)
+    args = arguments(cycle)
     if mode == "grid":
         if grid < 2:
             raise DiscrepancyError("grid must have at least 2 breakpoints")
         if cycle.dim == 1:
             return _angle_grid_1d(args[:, 0], grid)
         if cycle.dim == 2:
-            mults = np.ones(args.shape[0])
-            return _angle_grid_2d(args, mults, grid)
+            return _scan_2d(argument_bins(args, grid), 1, 0, grid, grid, grid)
         raise DiscrepancyError("angle discrepancy implemented for n <= 2")
     if mode != "exact":
         raise DiscrepancyError(f"unknown mode {mode!r}")
@@ -216,8 +201,7 @@ def angle_discrepancy(cycle: ZeroCycle, mode: str = "exact", grid: int = 64) -> 
                 f"{args.shape[0]} points exceed the exact-mode cap "
                 f"{EXACT_MODE_POINT_CAP}; use mode='grid'"
             )
-        mults = np.ones(args.shape[0])
-        return _angle_exact_2d(args, mults)
+        return _scan_2d(args, 0, -np.pi, np.pi, 4 * np.pi**2, 1.0)
     raise DiscrepancyError("angle discrepancy implemented for n <= 2")
 
 

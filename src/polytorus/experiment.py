@@ -31,6 +31,8 @@ import numpy as np
 from .discrepancy import (
     PolarBox,
     angle_discrepancy,
+    argument_bins,
+    arguments,
     box_count,
     discrepancy_bounds,
     erdos_turan_size,
@@ -264,8 +266,7 @@ def run_trial(
 
     if report.exceptional:
         record.convention_delta = 1.0
-        timings["solve"] = 0.0
-        timings["analyze"] = 0.0
+        timings["solve"] = timings["angle"] = timings["analyze"] = 0.0
         return record, timings, arg_hist, mod_hist
 
     t0 = time.perf_counter()
@@ -294,6 +295,9 @@ def run_trial(
     else:
         record.delta_ang = angle_discrepancy(cycle, "exact")
         record.delta_ang_mode = "exact"
+    timings["angle"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     record.convention_delta = record.delta_ang
     record.b_rad = {}
     record.delta_rad = {
@@ -322,13 +326,8 @@ def run_trial(
     record.violations = violations
     record.box_counts = [box_count(cycle, b) for b in box_probes]
 
-    args = np.angle(cycle.coords_array()).ravel()
-    args[args == -np.pi] = np.pi
     _, mod_edges = _histogram_edges(bins)
-    k = np.clip(
-        np.ceil((args + np.pi) * bins / (2 * np.pi)).astype(int) - 1, 0, bins - 1
-    )
-    np.add.at(arg_hist, k, 1)
+    np.add.at(arg_hist, argument_bins(arguments(cycle), bins).ravel(), 1)
     mods = np.abs(cycle.coords_array()).ravel()
     mk = np.searchsorted(mod_edges, mods, side="left")
     np.add.at(mod_hist, mk, 1)
@@ -527,12 +526,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             json.dump(summary.to_dict(), fh, sort_keys=True, indent=1)
         with open(os.path.join(out_dir, "timings.csv"), "w", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            w.writerow(["d", "trial", "sample", "classify", "solve", "analyze"])
+            phases = ("sample", "classify", "solve", "angle", "analyze")
+            w.writerow(["d", "trial", *phases])
             for d, t, tms in timings:
-                w.writerow(
-                    [d, t]
-                    + [f"{tms.get(k, 0.0):.6f}" for k in ("sample", "classify", "solve", "analyze")]
-                )
+                w.writerow([d, t] + [f"{tms.get(k, 0.0):.6f}" for k in phases])
     return ExperimentResult(
         config=config, records=records, summary=summary, timings=timings
     )

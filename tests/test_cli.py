@@ -77,6 +77,19 @@ def test_analyze_text_and_json(capsys):
     assert "eta" in obj and "delta_rad" in obj
 
 
+def test_analyze_grid_of_a_million_bins(capsys):
+    # the scan cuts at occupied bins only, so a 2^20 grid costs what the 36
+    # zeros cost; its boxes contain the grid-64 ones and lie in the exact family
+    flags = ["analyze", "--n", "2", "--d", "6", "--seed", "1", "--format", "json"]
+    values = []
+    for mode in (["grid", "--grid", "64"], ["grid", "--grid", "1048576"], ["exact"]):
+        assert main(flags + ["--angle-mode", *mode]) == 0
+        values.append(json.loads(capsys.readouterr().out)["delta_ang"])
+    coarse, fine, exact = values
+    assert coarse <= fine <= exact
+    assert coarse < fine
+
+
 def test_experiment_flags_and_report(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main([

@@ -1,6 +1,9 @@
 import cmath
+import json
 import math
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytorus.discrepancy import (
+    CHUNK_FLOATS,
     EXACT_MODE_POINT_CAP,
     DiscrepancyError,
     ExactModeTooLarge,
     PolarBox,
     angle_discrepancy,
+    arguments,
     box_count,
     discrepancy_bounds,
     erdos_turan_size,
@@ -20,7 +25,10 @@ from polytorus.discrepancy import (
     radius_discrepancy,
 )
 from polytorus.polynomials import IntPolynomial, sample_bernoulli_system, sup_norm_upper
-from polytorus.solver import CyclePoint, ZeroCycle
+from polytorus.resultants import classify_exceptional
+from polytorus.solver import CyclePoint, ZeroCycle, solve_bivariate
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def cycle_from_points(points, dim=1):
@@ -316,6 +324,136 @@ def test_angle_grid_2d_matches_quartic_reference():
         args = np.array(_canonical_args(pts))
         mine = angle_discrepancy(cycle_from_points(pts, dim=2), "grid", grid)
         assert mine == pytest.approx(_quartic_grid_2d(args, grid), abs=1e-12)
+
+
+# The all-edges scan that the occupied-cut scan replaced, kept as an
+# oracle: per axis-1 pair it tries both signs with both length variants on
+# each axis (eight prefix scans), and grid mode cuts at every grid edge.
+
+ORACLE_CHUNK_FLOATS = 2**16
+GRIDS = (2, 3, 8, 16, 33, 64, 100)
+
+
+def _oracle_box_scan(cum, n, a1, b1, c1, ends2) -> float:
+    best = 0.0
+    rows = max(1, ORACLE_CHUNK_FLOATS // cum.shape[1])
+    for start in range(0, a1.size, rows):
+        sl = slice(start, start + rows)
+        mass = (cum[b1[sl]] - cum[a1[sl]]) / n
+        for c in c1:
+            c = c[sl, None]
+            for b_cols, hi, a_cols, lo in ends2:
+                f = mass[:, b_cols] - c * hi
+                g = mass[:, a_cols] - c * lo
+                best = max(
+                    best,
+                    float((f - np.minimum.accumulate(g, axis=1)).max()),
+                    float((np.maximum.accumulate(g, axis=1) - f).max()),
+                )
+    return best
+
+
+def _oracle_cum_counts(r1, r2, m1, m2) -> np.ndarray:
+    hist = np.zeros((m1 + 1, m2 + 1))
+    np.add.at(hist, (r1 + 1, r2 + 1), 1.0)
+    return hist.cumsum(axis=0).cumsum(axis=1)
+
+
+def _oracle_exact_2d(args) -> float:
+    n = args.shape[0]
+    u1 = np.unique(args[:, 0])
+    u2 = np.unique(args[:, 1])
+    m1, m2 = u1.size, u2.size
+    cum = _oracle_cum_counts(
+        np.searchsorted(u1, args[:, 0]), np.searchsorted(u2, args[:, 1]), m1, m2
+    )
+    a1, b1 = np.nonzero(np.triu(np.ones((m1 + 1, m1 + 1), dtype=bool)))
+    lo1 = np.concatenate(([-np.pi], u1))
+    hi1 = np.concatenate((u1, [np.pi]))
+    min1 = np.zeros(a1.size)
+    inner = a1 < b1
+    min1[inner] = u1[b1[inner] - 1] - u1[a1[inner]]
+    four_pi2 = 4 * np.pi**2
+    c1 = [min1 / four_pi2, (hi1[b1] - lo1[a1]) / four_pi2]
+    lo2 = np.concatenate(([-np.pi], u2))
+    hi2 = np.concatenate((u2, [np.pi]))
+    ends2 = [
+        (slice(None), hi2, slice(None), lo2),  # len_max over a <= b
+        (slice(1, None), u2, slice(None, -1), u2),  # len_min: b - 1 >= a
+    ]
+    return _oracle_box_scan(cum, n, a1, b1, c1, ends2)
+
+
+def _oracle_grid_2d(args, grid) -> float:
+    n = args.shape[0]
+    idx = np.ceil((args + np.pi) * grid / (2 * np.pi)).astype(int) - 1
+    idx = np.clip(idx, 0, grid - 1)
+    cum = _oracle_cum_counts(idx[:, 0], idx[:, 1], grid, grid)
+    a1, b1 = np.nonzero(np.triu(np.ones((grid + 1, grid + 1), dtype=bool), 1))
+    edges = np.arange(grid + 1) / grid
+    ends2 = [(slice(None), edges, slice(None), edges)]
+    return _oracle_box_scan(cum, n, a1, b1, [(b1 - a1) / grid], ends2)
+
+
+def _suite_cycles():
+    """Zero cycles of the first trials of each degree of the default n=2 suite."""
+    cfg = json.loads((CONFIG_DIR / "default_suite_n2.json").read_text())
+    cycles = []
+    for d in cfg["degrees"]:
+        for trial in range(4):
+            system = sample_bernoulli_system(2, d, cfg["master_seed"], trial)
+            if not classify_exceptional(system).exceptional:
+                cycles.append(solve_bivariate(*system.polys)[0])
+    return cycles
+
+
+def _oracle_cycles():
+    return [cycle_from_points(pts, dim=2) for pts in _oracle_inputs(31, 50)] + _suite_cycles()
+
+
+def test_angle_grid_2d_equals_all_edges_oracle():
+    # the same float expressions at the boxes that can be optimal: equal bits
+    for cycle in _oracle_cycles():
+        args = arguments(cycle)
+        for grid in GRIDS:
+            assert angle_discrepancy(cycle, "grid", grid) == _oracle_grid_2d(args, grid)
+
+
+def test_angle_exact_2d_matches_all_edges_oracle():
+    # a dropped mixed length combination can tie the kept one up to rounding
+    for cycle in _oracle_cycles():
+        want = _oracle_exact_2d(arguments(cycle))
+        assert abs(angle_discrepancy(cycle) - want) <= 2.2e-16 * want
+
+
+def test_angle_nested_grids_between_coarse_and_exact():
+    # a grid-G box is a grid-Gk box and a box of the exact family
+    for cycle in _oracle_cycles():
+        exact = angle_discrepancy(cycle)
+        for grid in (2, 3, 8, 33):
+            coarse = angle_discrepancy(cycle, "grid", grid)
+            for k in (2, 3, 5):
+                fine = angle_discrepancy(cycle, "grid", grid * k)
+                assert coarse <= fine <= exact
+
+
+def test_angle_exact_2d_scan_memory_is_chunked():
+    # at the point cap, with all arguments distinct, the scan holds the
+    # (m+1)^2 cumulative counts and the (m+1)(m+2)/2 cut pairs; every other
+    # array stays within CHUNK_FLOATS floats, three of them at a time
+    rng = np.random.default_rng(4)
+    n = EXACT_MODE_POINT_CAP
+    pts = np.exp(1j * rng.uniform(-np.pi, np.pi, (n, 2)))
+    cycle = cycle_from_points(pts.tolist(), dim=2)
+    pairs = (n + 1) * (n + 2) // 2
+    base = 8 * (n + 1) ** 2 + 2 * 8 * pairs
+    tracemalloc.start()
+    try:
+        angle_discrepancy(cycle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= base + 3 * 8 * CHUNK_FLOATS + 2**18
 
 
 def test_angle_2d_near_uniform_grid_is_small():

@@ -144,7 +144,9 @@ def test_run_experiment_files_and_determinism(tmp_path):
         r.to_json_dict() for r in r2.records
     ]
     assert (tmp_path / "a" / "summary.json").exists()
-    assert (tmp_path / "a" / "timings.csv").exists()
+    timings = (tmp_path / "a" / "timings.csv").read_text().splitlines()
+    assert timings[0] == "d,trial,sample,classify,solve,angle,analyze"
+    assert len(timings) == 1 + len(r1.records)
 
 
 def test_parallelism_changes_nothing_but_timing(tmp_path):
