@@ -39,8 +39,8 @@ print(f"\nd=5 sample: found {diag.count_found} zeros "
 print("exceptional:", report.exceptional,
       "| count check passes:", diag.count_found == diag.count_expected)
 
-# Univariate root finding scales to high degree: simultaneous iteration
-# plus a Newton polish, with an exact split of the roots at the origin.
+# Univariate root finding scales to high degree: simultaneous iteration,
+# with an exact split of the roots at the origin.
 d = 300
 f = sample_bernoulli_system(n=1, d=d, seed=3, trial=0).polys[0]
 coeffs = [f.coeff((k,)) for k in range(d + 1)]

@@ -6,7 +6,8 @@ arguments taken in (-pi, pi].  Wrap-around arcs are deliberately not part
 of the family.  The exact mode computes the true supremum by enumerating
 box boundaries at data arguments together with their open/closed limit
 variants; grid mode restricts boundaries to an equispaced grid and is
-therefore a certified lower bound of the supremum.
+therefore a certified lower bound of the supremum.  In 2d both modes run
+one scan over the cuts next to occupied positions (`_scan_2d`).
 
 The Erdos-Turan size of a system is
 
@@ -46,8 +47,8 @@ class DiscrepancyError(ValueError):
 
 
 class ExactModeTooLarge(DiscrepancyError):
-    """Exact 2d angle discrepancy is O(N^3) in time; use grid mode beyond
-    EXACT_MODE_POINT_CAP points."""
+    """Exact 2d angle discrepancy is O(N^3) in time and O(N^2) in memory;
+    use grid mode, O(min(N, G)^3), beyond EXACT_MODE_POINT_CAP points."""
 
 
 EXACT_MODE_POINT_CAP = 400
@@ -120,24 +121,22 @@ def _errors(mass_f, cuts_f, mass_g, cuts_g, c, f, g, extremum):
 
 
 def _scan_2d(pos, width, start, end, norm1, norm2) -> float:
-    """Sup of |box mass - box area| over boxes cut at the points.
+    """Sup of |box mass - box area| over the boxes cut next to the points.
 
     Per axis, with u the sorted unique positions (m of them), a cut pair
-    (a, b), 0 <= a <= b <= m, selects the points of rank in [a, b).  A box
-    side with that content runs from len_min = u[b-1] + width - u[a] (0
-    when a == b) to len_max = hi[b] - lo[a], with lo = (start, u + width)
-    and hi = (u, end).  Exact mode takes the arguments with width 0 (the
-    boundaries pinched onto data points through limit variants), grid
-    mode the occupied bins with width 1.  The area is
-    (len_1 / norm1) (len_2 / norm2).  For a fixed content, mass - area
-    peaks at len_min on both axes and area - mass at len_max on both, so
-    each axis-1 pair takes one pass per sign over the axis-2 cuts.  With
-    c = len_1 / norm1 and M the pair's slab masses at the axis-2 cuts, a
-    pass's error is F[j] - G[i] over cuts i <= j, F = M[j] - c hi[j] and
-    G = M[i] - c lo[i] (len_min: F over j >= 1 at lo, G over i < m at
-    hi), and a prefix extremum of G makes it O(1) per (pair, cut).  A
-    chunk holds the axis-2 cuts as rows and the axis-1 pairs as columns,
-    so every array allocated per chunk holds at most CHUNK_FLOATS floats.
+    (a, b), 0 <= a <= b <= m, selects the points of rank in [a, b).  A
+    side with that content is between len_min = u[b-1] + width - u[a] (0
+    when a == b) and len_max = hi[b] - lo[a], lo = (start, u + width) and
+    hi = (u, end).  Exact mode passes the arguments with width 0 (sides
+    pinched onto data points through limit variants), grid mode the
+    occupied bins with width 1.  The area is (len_1/norm1) (len_2/norm2).
+    For a fixed content mass - area peaks at len_min on both axes and
+    area - mass at len_max on both, so each axis-1 pair takes one pass per
+    sign.  A pass's error over axis-2 cuts i <= j is F[j] - G[i], with
+    F = M[j] - c hi[j], G = M[i] - c lo[i], c = len_1/norm1 and M the
+    pair's slab masses; a prefix extremum of G makes it O(1) per (pair,
+    cut).  Chunks hold the axis-2 cuts as rows and the axis-1 pairs as
+    columns, in three buffers of at most CHUNK_FLOATS floats.
     """
     n = pos.shape[0]
     (u1, r1), (u2, r2) = (np.unique(pos[:, j], return_inverse=True) for j in (0, 1))
@@ -177,8 +176,9 @@ def angle_discrepancy(cycle: ZeroCycle, mode: str = "exact", grid: int = 64) -> 
 
     mode="exact" returns the true supremum (1d always, O(N log N); 2d in
     O(N^3) up to EXACT_MODE_POINT_CAP points).  mode="grid" restricts box
-    boundaries to `grid` equispaced breakpoints per axis, costs O(G^3) in
-    2d and certifies a lower bound.
+    boundaries to `grid` equispaced breakpoints per axis and certifies a
+    lower bound; in 2d it costs O(m^3) with m <= min(N, grid) occupied
+    bins per axis.
     """
     if cycle.degree < 1:
         raise DiscrepancyError("angle discrepancy of an empty cycle")

@@ -2,7 +2,7 @@
 
 Univariate roots come from Aberth-Ehrlich simultaneous iteration started
 on a circle of radius (|a_0/a_d|)^(1/deg) with a deterministic angular
-perturbation, followed by a short Newton polish; each sweep evaluates the
+perturbation; each sweep evaluates the
 points that have not stopped, on their side of the unit circle, by a
 factored power table, and corrects them by S_k = sum_j 1/(z_k - z_j) over
 all points: a stopped point is frozen but stays in every S_k.  A root
@@ -43,7 +43,6 @@ class NonIsolatedError(SolverError):
 ABERTH_MAX_SWEEPS = 200
 ABERTH_TOL = 1e-13
 ROUNDING_FLOOR = 4 * 2.0**-53  # C * u of the rounding-floor stop
-NEWTON_POLISH_STEPS = 3
 NEWTON_PAIR_STEPS = 2
 JACOBIAN_FLOOR = 1e-8  # |det J| relative to its two products: singular
 CLUSTER_RADIUS = 1e-7
@@ -209,12 +208,8 @@ def _aberth_batch(coeffs: np.ndarray):
             done |= _at_rounding_floor(abs_row, norm1, za[None], p, ~done[None])[0]
             z[idx] = za - corr
             idx = idx[~done]
-        converged = np.ones(deg, dtype=bool)
-        converged[idx] = False
-        for _ in range(NEWTON_POLISH_STEPS):
-            (step,), _ = _newton_ratio(row, z[None])
-            ok = np.isfinite(step) & (np.abs(step) <= 1e-2 * (1.0 + np.abs(z)))
-            z = z - np.where(ok, step, 0.0)
+    converged = np.ones(deg, dtype=bool)
+    converged[idx] = False
     return z, converged, sweeps
 
 
