@@ -2,13 +2,12 @@
 
 Univariate roots come from Aberth-Ehrlich simultaneous iteration started
 on a circle of radius (|a_0/a_d|)^(1/deg) with a deterministic angular
-perturbation; each sweep evaluates the
-points that have not stopped, on their side of the unit circle, by a
-factored power table, and corrects them by S_k = sum_j 1/(z_k - z_j) over
-all points: a stopped point is frozen but stays in every S_k.  A root
-stops when its correction is below ABERTH_TOL or its value is at the
-rounding floor of the power sum (`_aberth_batch`); a root flagged
-unconverged met neither test.  Bivariate systems are solved through both
+perturbation; each sweep evaluates the points that have not stopped, on
+their side of the unit circle, by a factored power table, and corrects
+them by S_k = sum_j 1/(z_k - z_j) over all points: a stopped point is
+frozen but stays in every S_k.  A root stops when its correction is
+below ABERTH_TOL or its value is at the rounding floor of the power sum
+(`_aberth_batch`); a root flagged unconverged met neither test.  Bivariate systems are solved through both
 exact eliminants, without back-substitution: the roots of Res_x (the y
 coordinates) and of Res_y (the x coordinates) are paired by their scaled
 residual and polished by 2x2 Newton steps.  `dropped` counts y roots left
