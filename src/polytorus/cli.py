@@ -118,7 +118,9 @@ def _cmd_analyze(args):
         delta = angle_discrepancy(
             cycle, mode, args.grid if mode == "grid" else 64
         )
-        eta_rep = erdos_turan_size(polys, report=report)
+        eta_rep = erdos_turan_size(
+            polys, report=report, d_mv=diag.count_expected if n == 2 else None
+        )
         out["cycle"] = cycle.to_dict(diag)
         out["delta_ang"] = delta
         out["delta_ang_mode"] = mode

@@ -18,11 +18,13 @@ with D the mixed volume of the supports, the product over inward facet
 normals v of their Minkowski sum, and D_{w,i} the length of the
 projection of the other support polytope onto the line orthogonal to w
 (n=2) or 1 (n=1, where the formula collapses to the classical
-Erdos-Turan quantity).  Sup norms enter through the certified upper
-estimate sum |a_J|, which makes eta an over-estimate; discrepancies are
-computed as under-estimates (or exact), so every bound inequality
-verified downstream is implied by the corresponding theorem and any
-violation is a genuine bug.
+Erdos-Turan quantity).  The supremum over w is exact: between
+consecutive critical directions the objective is one sinusoid, maximized
+in closed form on each arc (`_eta_sup_2d`).  Sup norms enter through the
+certified upper estimate sum |a_J|, the only over-estimate in eta;
+discrepancies are computed as under-estimates (or exact), so every bound
+inequality verified downstream is implied by the corresponding theorem
+and any violation is a genuine bug.
 
 Polar boxes count the zeros of a cycle in a product of radial intervals
 and arcs; the experiment harness turns these counts into box-probe
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import mixed_volume
-from .polynomials import newton_polytope, sup_norm_upper
+from .polynomials import sup_norm_upper
 from .resultants import DirectionalReport, classify_exceptional
 from .solver import ZeroCycle
 
@@ -251,9 +253,6 @@ class EtaReport:
         }
 
 
-ETA_ANGLES = 4096  # equispaced directions w added to the critical ones
-
-
 def _sup_logs(polys):
     """log of the certified sup-norm over-estimate sum |a_J| of each f_i."""
     return [_log_abs_big(sup_norm_upper(f)) for f in polys]
@@ -273,19 +272,29 @@ def _eta_bound(polys, logs, d_mv) -> float:
     return float((n + math.sqrt(n)) * prod_d * total / d_mv)
 
 
+def _supports_mixed_volume(polys) -> int:
+    return int(mixed_volume([f.newton_polytope for f in polys]))
+
+
 def eta_upper_bound(polys) -> float:
     """The (n + sqrt n) (prod d_i) sum_i log||f_i|| / d_i bound over D."""
     polys = tuple(polys.polys) if hasattr(polys, "polys") else tuple(polys)
-    d_mv = mixed_volume([newton_polytope(f) for f in polys])
-    return _eta_bound(polys, _sup_logs(polys), d_mv)
+    return _eta_bound(polys, _sup_logs(polys), _supports_mixed_volume(polys))
 
 
-def erdos_turan_size(system, report: DirectionalReport = None) -> EtaReport:
+def erdos_turan_size(
+    system, report: DirectionalReport = None, d_mv: int = None
+) -> EtaReport:
     """Erdos-Turan size of a system (n in {1, 2}).
 
-    Directional resultants are taken from `report` when given (so a
-    classification pass is not repeated).  A vanishing facet resultant
-    makes eta infinite, reported with the `infinite` marker.
+    Directional resultants are taken from `report` and the mixed volume D
+    of the supports from `d_mv` when given (at n = 2 the solver's
+    count_expected), so a trial computes neither twice.  A vanishing
+    facet resultant makes eta infinite, reported with the `infinite`
+    marker.  At n = 2 the supremum over w is exact: on each arc between
+    consecutive critical directions the objective is one sinusoid,
+    maximized in closed form (`_eta_sup_2d`).  The only over-estimate is
+    the sup norm, taken as sum |a_J|.
     """
     polys = tuple(system.polys) if hasattr(system, "polys") else tuple(system)
     n = polys[0].nvars
@@ -294,8 +303,8 @@ def erdos_turan_size(system, report: DirectionalReport = None) -> EtaReport:
     if report is None:
         report = classify_exceptional(polys)
     logs = _sup_logs(polys)
-    hulls = [newton_polytope(f) for f in polys]
-    d_mv = int(mixed_volume(hulls))
+    if d_mv is None:
+        d_mv = _supports_mixed_volume(polys)
     upper = _eta_bound(polys, logs, d_mv)
     if any(e.value == 0 for e in report.entries):
         return EtaReport(
@@ -324,41 +333,64 @@ def erdos_turan_size(system, report: DirectionalReport = None) -> EtaReport:
             eta_upper=upper,
         )
 
-    verts = [np.array(h.vertices, dtype=float) for h in hulls]
-    thetas = [np.linspace(-np.pi, np.pi, ETA_ANGLES, endpoint=False)]
-    for v in verts:
-        cyc = np.vstack([v, v[:1]])
-        edges = np.diff(cyc, axis=0)
-        for ex, ey in edges:
-            if ex or ey:
-                t = math.atan2(ey, ex)
-                thetas.append(np.array([t, t + np.pi]))
-    for (vx, vy), _ in per_normal:
-        t = math.atan2(vy, vx)
-        thetas.append(np.array([t + np.pi / 2, t - np.pi / 2]))
-    theta = np.unique(np.concatenate(thetas))
-    w = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    u = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-
-    proj_len = []
-    for v in verts:
-        dots = u @ v.T
-        proj_len.append(dots.max(axis=1) - dots.min(axis=1))
-    # D_{w,1} multiplies log||f_1|| and is the projection of the OTHER hull
-    objective = proj_len[1] * logs[0] + proj_len[0] * logs[1]
-    for (vx, vy), lv in per_normal:
-        objective = objective - 0.5 * np.abs(w @ np.array([vx, vy])) * lv
-    k = int(np.argmax(objective))
-    eta = float(objective[k] / d_mv)
+    t, value, dw = _eta_sup_2d(polys, logs, per_normal)
     return EtaReport(
-        eta=eta,
-        w_argmax=(float(w[k, 0]), float(w[k, 1])),
+        eta=value / d_mv,
+        w_argmax=(math.cos(t), math.sin(t)),
         mixed_volume=d_mv,
         per_normal=per_normal,
-        dw_at_argmax=(float(proj_len[1][k]), float(proj_len[0][k])),
+        dw_at_argmax=dw,
         sup_log_values=tuple(logs),
         eta_upper=upper,
     )
+
+
+def _eta_sup_2d(polys, logs, per_normal):
+    """(theta, value, (D_{w,1}, D_{w,2})) at the maximum over w = (cos theta,
+    sin theta) of the eta objective
+
+        D_{w,1} log||f_1|| + D_{w,2} log||f_2|| - 1/2 sum_v |<v, w>| log|Res_v|,
+
+    D_{w,i} the length of the other hull projected onto u = (-sin, cos).
+    The objective is even in w, so theta ranges over [-pi/2, pi/2).  The
+    projection's extreme vertices change only where w is parallel to a
+    hull edge, and the sign of <v, w> only where w is orthogonal to v; on
+    each arc between consecutive such critical angles the objective is one
+    sinusoid A cos + B sin, with A and B read off the active vertices and
+    signs at the arc's midpoint.  Its maximum on the arc is at an endpoint
+    or, when atan2(B, A) lies inside, sqrt(A^2 + B^2).
+    """
+    cycles = [np.array(f.newton_polytope.cycle, dtype=float) for f in polys]
+    normals = np.array([v for v, _ in per_normal], dtype=float).reshape(-1, 2)
+    lvs = np.array([lv for _, lv in per_normal])
+    edges = np.vstack([np.roll(c, -1, axis=0) - c for c in cycles])
+    t_edge = np.arctan2(edges[:, 1], edges[:, 0])[np.any(edges != 0, axis=1)]
+    t_normal = np.arctan2(normals[:, 1], normals[:, 0]) + np.pi / 2
+    crit = np.concatenate((t_edge, t_normal))
+    lo = np.unique(np.mod(crit + np.pi / 2, np.pi) - np.pi / 2)
+    hi = np.append(lo[1:], lo[0] + np.pi)  # the last arc wraps across +-pi/2
+    mid = 0.5 * (lo + hi)
+    u = np.stack((-np.sin(mid), np.cos(mid)), axis=1)
+    w = np.stack((np.cos(mid), np.sin(mid)), axis=1)
+    # q_i = argmax - argmin of <u, p> over hull i, so D = <u, q> on the arc
+    q = []
+    for c in cycles:
+        dots = u @ c.T
+        q.append(c[dots.argmax(axis=1)] - c[dots.argmin(axis=1)])
+    # D_{w,1} is the projection of the OTHER hull
+    g = logs[0] * q[1] + logs[1] * q[0]
+    h = 0.5 * (np.sign(w @ normals.T) * lvs) @ normals
+    a = g[:, 1] - h[:, 0]
+    b = -g[:, 0] - h[:, 1]
+    offset = np.mod(np.arctan2(b, a) - lo, 2 * np.pi)
+    inside = offset < hi - lo
+    cand = np.stack((lo, hi, lo + offset), axis=1)
+    vals = a[:, None] * np.cos(cand) + b[:, None] * np.sin(cand)
+    vals[:, 2] = np.where(inside, np.hypot(a, b), -np.inf)
+    k, j = np.unravel_index(np.argmax(vals), vals.shape)
+    t = float(cand[k, j])
+    ut = np.array((-math.sin(t), math.cos(t)))
+    return t, float(vals[k, j]), (float(ut @ q[1][k]), float(ut @ q[0][k]))
 
 
 def discrepancy_bounds(eta: float, n: int, eps: float):

@@ -266,7 +266,7 @@ def run_trial(
 
     if report.exceptional:
         record.convention_delta = 1.0
-        timings["solve"] = timings["angle"] = timings["analyze"] = 0.0
+        timings.update(dict.fromkeys(("solve", "angle", "eta", "analyze"), 0.0))
         return record, timings, arg_hist, mod_hist
 
     t0 = time.perf_counter()
@@ -298,12 +298,18 @@ def run_trial(
     timings["angle"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    # at n = 2 the solver's count is the mixed volume of the supports
+    eta_rep = erdos_turan_size(
+        system, report=report, d_mv=diag.count_expected if n == 2 else None
+    )
+    timings["eta"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     record.convention_delta = record.delta_ang
     record.b_rad = {}
     record.delta_rad = {
         repr(e): radius_discrepancy(cycle, e) for e in epsilons
     }
-    eta_rep = erdos_turan_size(system, report=report)
     record.eta = eta_rep.eta
     record.eta_upper = eta_rep.eta_upper
     violations = []
@@ -526,7 +532,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             json.dump(summary.to_dict(), fh, sort_keys=True, indent=1)
         with open(os.path.join(out_dir, "timings.csv"), "w", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            phases = ("sample", "classify", "solve", "angle", "analyze")
+            phases = ("sample", "classify", "solve", "angle", "eta", "analyze")
             w.writerow(["d", "trial", *phases])
             for d, t, tms in timings:
                 w.writerow([d, t] + [f"{tms.get(k, 0.0):.6f}" for k in phases])

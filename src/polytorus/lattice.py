@@ -110,6 +110,12 @@ class LatticePolytope:
     def rank(self) -> int:
         return affine_rank(self.vertices)
 
+    @cached_property
+    def cycle(self) -> tuple:
+        """Vertices in counterclockwise order (dimension 2), or the two
+        endpoints (dimension 1)."""
+        return tuple(_hull2_cycle(self.vertices)) if self.dim == 2 else self.vertices
+
     def is_full_dimensional(self) -> bool:
         return self.rank == self.dim
 
@@ -185,7 +191,7 @@ def volume(p: LatticePolytope) -> Fraction:
         return Fraction(0)
     if p.dim == 1:
         return Fraction(p.vertices[-1][0] - p.vertices[0][0])
-    cycle = _hull2_cycle(p.vertices)
+    cycle = p.cycle
     s = 0
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         s += a[0] * b[1] - b[0] * a[1]
@@ -247,7 +253,7 @@ def facet_normals(p: LatticePolytope):
         raise GeometryError("facet normals need a full-dimensional polytope")
     if p.dim == 1:
         return [(-1,), (1,)]
-    cycle = _hull2_cycle(p.vertices)
+    cycle = p.cycle
     normals = set()
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         t = _sub(b, a)

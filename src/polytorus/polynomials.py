@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
+import numpy as np
+
 from .lattice import convex_hull, primitive_vector, simplex_points
 
 
@@ -75,6 +77,17 @@ class IntPolynomial:
             return -1
         return max(sum(e) for e, _ in self.terms)
 
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """(terms, nvars) int64 array of the stored exponents, in term order."""
+        exps = np.array([e for e, _ in self.terms], dtype=np.int64)
+        return exps.reshape(len(self.terms), self.nvars)
+
+    @cached_property
+    def newton_polytope(self):
+        """Convex hull of the support, built once per polynomial."""
+        return convex_hull(support(self))
+
     def __str__(self):
         if not self.terms:
             return "0"
@@ -98,10 +111,6 @@ def support(f: IntPolynomial):
     return tuple(e for e, _ in f.terms)
 
 
-def newton_polytope(f: IntPolynomial):
-    return convex_hull(support(f))
-
-
 def directed_polynomial(f: IntPolynomial, v):
     """Restrict f to the face of its support in direction v.
 
@@ -122,43 +131,33 @@ def directed_polynomial(f: IntPolynomial, v):
     if primitive_vector(v) != v:
         raise PolynomialError(f"direction {v} is not primitive")
     n = f.nvars
-    s = min(sum(e * c for e, c in zip(exp, v)) for exp, _ in f.terms)
-    face_terms = [
-        (exp, c) for exp, c in f.terms if sum(e * c2 for e, c2 in zip(exp, v)) == s
-    ]
-    b = min((exp for exp, _ in face_terms), key=lambda exp: exp[::-1])
+    dots = f.exponents @ np.array(v, dtype=np.int64)
+    face = np.flatnonzero(dots == dots.min())
+    b = min((f.terms[i][0] for i in face), key=lambda exp: exp[::-1])
 
     if n == 1:
-        (exp, c) = face_terms[0]
-        return IntPolynomial.from_dict(0, {(): c}), b
+        return IntPolynomial.from_dict(0, {(): f.terms[face[0]][1]}), b
 
-    def coords_for(diff):
-        if v == tuple(-1 for _ in range(n)):
-            return diff[1:]
-        units = [tuple(1 if k == m else 0 for k in range(n)) for m in range(n)]
-        if v in units:
-            m = units.index(v)
-            return diff[:m] + diff[m + 1 :]
-        if n == 2:
-            u = (-v[1], v[0])
-            if u[0] != 0:
-                t, r = divmod(diff[0], u[0])
-            else:
-                t, r = divmod(diff[1], u[1])
-            if r or (t * u[0], t * u[1]) != diff:
-                raise PolynomialError("face point outside the orthogonal lattice line")
-            return (t,)
+    diff = f.exponents[face] - np.array(b, dtype=np.int64)
+    if v == (-1,) * n:
+        coords = diff[:, 1:]
+    elif sorted(v) == [0] * (n - 1) + [1]:
+        coords = diff[:, [k for k in range(n) if not v[k]]]
+    elif n == 2:
+        u = np.array((-v[1], v[0]), dtype=np.int64)
+        k = 0 if u[0] != 0 else 1
+        t, r = np.divmod(diff[:, k], u[k])
+        if r.any() or (np.outer(t, u) != diff).any():
+            raise PolynomialError("face point outside the orthogonal lattice line")
+        coords = t[:, None]
+    else:
         raise PolynomialError(
             "general directions are only supported in dimension <= 2"
         )
-
-    raw = {}
-    for exp, c in face_terms:
-        diff = tuple(e - bb for e, bb in zip(exp, b))
-        raw[coords_for(diff)] = c
-    mins = tuple(min(t[k] for t in raw) for k in range(n - 1))
-    shifted = {tuple(t[k] - mins[k] for k in range(n - 1)): c for t, c in raw.items()}
-    return IntPolynomial.from_dict(n - 1, shifted, offset=mins), b
+    mins = coords.min(axis=0)
+    exps = map(tuple, (coords - mins).tolist())
+    terms = sorted(zip(exps, (f.terms[i][1] for i in face)))
+    return IntPolynomial(n - 1, tuple(terms), tuple(mins.tolist())), b
 
 
 def univariate_coeffs(f: IntPolynomial):

@@ -40,13 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import convex_hull, facet_normals, minkowski_sum, primitive_vector
+from .lattice import facet_normals, minkowski_sum, primitive_vector
 from .polynomials import (
     BernoulliSystem,
     IntPolynomial,
     directed_polynomial,
     restrict_to_zero,
-    support,
     univariate_coeffs,
 )
 
@@ -684,16 +683,11 @@ def _system_polys(system):
     return tuple(system)
 
 
-def _support_hulls(polys):
-    return [convex_hull(support(f)) for f in polys]
-
-
 def system_facet_normals(polys):
     """Inward facet normals of the Minkowski sum of the support hulls."""
-    hulls = _support_hulls(polys)
-    acc = hulls[0]
-    for h in hulls[1:]:
-        acc = minkowski_sum(acc, h)
+    acc = polys[0].newton_polytope
+    for f in polys[1:]:
+        acc = minkowski_sum(acc, f.newton_polytope)
     if not acc.is_full_dimensional():
         raise DegenerateSystemError(
             "Minkowski sum of supports is lower-dimensional; "

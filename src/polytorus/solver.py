@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import mixed_volume
-from .polynomials import IntPolynomial, newton_polytope, sup_norm_upper
+from .polynomials import IntPolynomial, sup_norm_upper
 from .resultants import eliminant_bivariate, roots_structure, trim
 
 
@@ -107,7 +107,9 @@ def _eval_one_side(coeff_rows: np.ndarray, z: np.ndarray):
     coeffs[:, 0, 2:, : width - 1] = coeffs[:, 0, :2, 1:width] * np.arange(1, width)
     low = _powers(v, m)
     inner = np.matvec(coeffs.reshape(rows, 1, 4 * m, m), low)
-    out = np.matvec(inner.reshape(z.shape + (4, m)), _powers(low[..., -1] * v, m))
+    step = low[..., -1] * v
+    del low  # the two power tables are never alive together
+    out = np.matvec(inner.reshape(z.shape + (4, m)), _powers(step, m))
     p = np.where(outside, out[..., 1], out[..., 0])
     dp = np.where(outside, out[..., 3], out[..., 2])
     return outside, v, p, dp
@@ -152,14 +154,18 @@ def _at_rounding_floor(abs_rows, norm1, z, p, cand):
 
 def _pairwise_inverse_sum(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """S_k = sum_{j != k} 1/(z_k - z_j) over all points z_j, for each k in
-    `idx`, in blocks of 256 rows of k to bound memory at 256 x len(z)."""
-    blocks = []
+    `idx`, in blocks of 256 rows of k, written into one 256 x len(z) buffer
+    per call."""
+    out = np.empty(len(idx), dtype=complex)
+    buf = np.empty((min(len(idx), 256), len(z)), dtype=complex)
     for a in range(0, len(idx), 256):
         rows = idx[a : a + 256]
-        diff = z[rows, None] - z
+        diff = buf[: len(rows)]
+        np.subtract(z[rows, None], z, out=diff)
         diff[np.arange(len(rows)), rows] = np.inf
-        blocks.append((1.0 / diff).sum(axis=1))
-    return np.concatenate(blocks)
+        np.divide(1.0, diff, out=diff)
+        diff.sum(axis=1, out=out[a : a + 256])
+    return out
 
 
 def _aberth_batch(coeffs: np.ndarray):
@@ -579,7 +585,7 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
     rx = eliminant_bivariate(f1, f2, "y")  # polynomial in x
     if not ry or not rx:
         raise NonIsolatedError("zero eliminant: the system has a shared factor")
-    expected = int(mixed_volume([newton_polytope(f1), newton_polytope(f2)]))
+    expected = int(mixed_volume([f1.newton_polytope, f2.newton_polytope]))
     if len(ry) == 1:
         diag = SolveDiagnostics(
             eliminant_degree=0,

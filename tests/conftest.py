@@ -1,10 +1,12 @@
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from polytorus import lattice
 from polytorus.experiment import ExperimentConfig, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -37,3 +39,23 @@ def suite_n1(tmp_path_factory):
 @pytest.fixture(scope="session")
 def suite_n2(tmp_path_factory):
     return _run_default_suite("default_suite_n2.json", tmp_path_factory, "suite-n2")
+
+
+@pytest.fixture
+def mixed_volume_calls(monkeypatch):
+    """A list that grows by one per `lattice.mixed_volume` call.  The
+    counting wrapper replaces the function in every polytorus module that
+    holds it, as a tracer spanning the package does."""
+    original = lattice.mixed_volume
+    calls = []
+
+    def counted(qs):
+        calls.append(1)
+        return original(qs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "polytorus" or name.startswith("polytorus."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

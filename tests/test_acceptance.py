@@ -19,7 +19,6 @@ from polytorus.experiment import ExperimentConfig, enumerate_d1, run_experiment
 from polytorus.lattice import convex_hull, mixed_volume
 from polytorus.polynomials import (
     IntPolynomial,
-    newton_polytope,
     sample_bernoulli_system,
     sup_norm_upper,
 )
@@ -116,7 +115,7 @@ def test_criterion_2_mixed_volume_bkk():
             2, {(0, 0): rng.randint(1, 9), (1, 1): rng.randint(1, 9)}
         )
         if f1.is_zero or mixed_volume(
-            [newton_polytope(f1), newton_polytope(f2)]
+            [f1.newton_polytope, f2.newton_polytope]
         ) != 4:
             continue
         try:
@@ -134,7 +133,7 @@ def test_criterion_2_mixed_volume_bkk():
         f2 = random_support_poly()
         if f1 is None or f2 is None:
             continue
-        hulls = [newton_polytope(f1), newton_polytope(f2)]
+        hulls = [f1.newton_polytope, f2.newton_polytope]
         try:
             mv = int(mixed_volume(hulls))
         except Exception:

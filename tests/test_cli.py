@@ -4,6 +4,7 @@ import math
 import pytest
 
 from polytorus.cli import main
+from polytorus.experiment import run_trial
 from polytorus.solver import CLUSTER_RADIUS, RESIDUAL_TOL
 
 
@@ -75,6 +76,18 @@ def test_analyze_text_and_json(capsys):
     assert rc == 0
     obj = json.loads(capsys.readouterr().out)
     assert "eta" in obj and "delta_rad" in obj
+
+
+def test_analyze_eta_matches_the_trial_record(capsys, mixed_volume_calls):
+    rec, _, _, _ = run_trial(2, 4, 3, 1, (0.1,), "grid", 64, (), 16)
+    assert not rec.exceptional
+    mixed_volume_calls.clear()
+    rc = main(["analyze", "--n", "2", "--d", "4", "--seed", "1", "--trial", "3",
+               "--format", "json"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["eta"]["eta"] == rec.eta
+    assert len(mixed_volume_calls) == 1
 
 
 def test_analyze_grid_of_a_million_bins(capsys):

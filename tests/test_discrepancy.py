@@ -24,7 +24,13 @@ from polytorus.discrepancy import (
     eta_upper_bound,
     radius_discrepancy,
 )
-from polytorus.polynomials import IntPolynomial, sample_bernoulli_system, sup_norm_upper
+from polytorus.lattice import convex_hull
+from polytorus.polynomials import (
+    IntPolynomial,
+    sample_bernoulli_system,
+    sup_norm_upper,
+    support,
+)
 from polytorus.resultants import classify_exceptional
 from polytorus.solver import CyclePoint, ZeroCycle, solve_bivariate
 
@@ -564,6 +570,132 @@ def test_eta_uses_report_directly():
     a = erdos_turan_size(s, report=rep)
     b = erdos_turan_size(s)
     assert a.eta == b.eta
+
+
+# The 4096-direction maximisation that the per-arc closed form replaced,
+# kept verbatim as an oracle (only the direction count is a parameter, and
+# the logs and D come from the exact report).  Its "edges" are differences
+# of consecutive sorted vertices, as they were.
+
+
+def _oracle_objective(verts, logs, per_normal, theta):
+    w = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    u = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
+    proj_len = []
+    for v in verts:
+        dots = u @ v.T
+        proj_len.append(dots.max(axis=1) - dots.min(axis=1))
+    # D_{w,1} multiplies log||f_1|| and is the projection of the OTHER hull
+    objective = proj_len[1] * logs[0] + proj_len[0] * logs[1]
+    for (vx, vy), lv in per_normal:
+        objective = objective - 0.5 * np.abs(w @ np.array([vx, vy])) * lv
+    return objective
+
+
+def _oracle_verts(polys):
+    return [np.array(convex_hull(support(f)).vertices, dtype=float) for f in polys]
+
+
+def _oracle_eta_sampled(polys, rep, angles=4096):
+    verts = _oracle_verts(polys)
+    thetas = [np.linspace(-np.pi, np.pi, angles, endpoint=False)]
+    for v in verts:
+        cyc = np.vstack([v, v[:1]])
+        edges = np.diff(cyc, axis=0)
+        for ex, ey in edges:
+            if ex or ey:
+                t = math.atan2(ey, ex)
+                thetas.append(np.array([t, t + np.pi]))
+    for (vx, vy), _ in rep.per_normal:
+        t = math.atan2(vy, vx)
+        thetas.append(np.array([t + np.pi / 2, t - np.pi / 2]))
+    theta = np.unique(np.concatenate(thetas))
+    objective = _oracle_objective(verts, rep.sup_log_values, rep.per_normal, theta)
+    return float(objective.max() / rep.mixed_volume)
+
+
+def _dense_eta_sampled(polys, rep, angles=2**20, chunk=2**16):
+    """The objective's maximum over `angles` equispaced directions, with
+    the directions along the fast axis."""
+    verts = _oracle_verts(polys)
+    logs = rep.sup_log_values
+    best = -math.inf
+    for a in range(0, angles, chunk):
+        theta = -np.pi + 2 * np.pi * np.arange(a, a + chunk) / angles
+        c, s = np.cos(theta), np.sin(theta)
+        obj = np.zeros(chunk)
+        for i, v in enumerate(verts):  # <u, p> for every vertex p of hull i
+            dots = np.outer(v[:, 1], c) - np.outer(v[:, 0], s)
+            obj += logs[1 - i] * (dots.max(axis=0) - dots.min(axis=0))
+        for (vx, vy), lv in rep.per_normal:
+            obj -= 0.5 * lv * np.abs(vx * c + vy * s)
+        best = max(best, float(obj.max()))
+    return best / rep.mixed_volume
+
+
+@pytest.fixture(scope="module")
+def seed1_eta_reports():
+    """(system, exact EtaReport) for the non-exceptional seed-1 systems of
+    n2-low-grid (d = 4, 6: 40 trials) and n2-high-grid (d = 10, 12: 16)."""
+    out = []
+    for d, trials in ((4, 40), (6, 40), (10, 16), (12, 16)):
+        for t in range(trials):
+            s = sample_bernoulli_system(2, d, 1, t)
+            report = classify_exceptional(s)
+            if not report.exceptional:
+                out.append((s, erdos_turan_size(s, report=report)))
+    return out
+
+
+def test_eta_exact_never_below_sampled_oracle(seed1_eta_reports):
+    gains = []
+    for s, rep in seed1_eta_reports:
+        sampled = _oracle_eta_sampled(s.polys, rep)
+        assert rep.eta >= sampled * (1 - 1e-15)
+        gains.append(rep.eta / sampled - 1)
+    assert len(gains) > 90
+    # sampling misses interior maxima by up to (pi/4096)^2 / 2 relative
+    assert 1e-7 < max(gains) <= (math.pi / 4096) ** 2 / 2
+
+
+def test_eta_dense_sampling_never_exceeds_exact(seed1_eta_reports):
+    for s, rep in seed1_eta_reports[::4]:
+        assert _dense_eta_sampled(s.polys, rep) <= rep.eta * (1 + 1e-15)
+
+
+def test_eta_maximum_strictly_inside_an_arc():
+    # d = 1 triangles: on the arc 0 < theta < pi/2 the objective is
+    # A cos + B sin with A = L1 + L2 - (l_diag + l_x)/2 and
+    # B = L1 + L2 - (l_diag + l_y)/2 (l_x: the facet normal (1, 0)), and
+    # |Res| = 1, 5, 2 at (-1,-1), (0,1), (1,0) put atan2(B, A) at 0.22 pi
+    f1 = poly(2, {(0, 0): 3, (1, 0): 1, (0, 1): 1})
+    f2 = poly(2, {(0, 0): 1, (1, 0): 2, (0, 1): 1})
+    rep = erdos_turan_size((f1, f2))
+    assert dict(rep.per_normal) == pytest.approx(
+        {(-1, -1): 0.0, (0, 1): math.log(5), (1, 0): math.log(2)}
+    )
+    a = math.log(20) - math.log(2) / 2
+    b = math.log(20) - math.log(5) / 2
+    assert rep.mixed_volume == 1
+    assert rep.eta == pytest.approx(math.hypot(a, b), rel=1e-15)
+    theta = math.atan2(rep.w_argmax[1], rep.w_argmax[0]) % math.pi
+    assert theta == pytest.approx(math.atan2(b, a), abs=1e-12)
+    critical = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
+    assert min(abs(theta - c) for c in critical) > 0.05
+    assert rep.eta > _oracle_eta_sampled((f1, f2), rep) * (1 + 1e-9)
+
+
+def test_eta_argmax_is_a_unit_direction_attaining_eta(seed1_eta_reports):
+    for s, rep in seed1_eta_reports:
+        w = np.array(rep.w_argmax)
+        assert np.hypot(*w) == pytest.approx(1.0, abs=1e-15)
+        theta = np.array([math.atan2(w[1], w[0])])
+        verts = _oracle_verts(s.polys)
+        at_w = _oracle_objective(verts, rep.sup_log_values, rep.per_normal, theta)
+        assert at_w[0] / rep.mixed_volume == pytest.approx(rep.eta, rel=1e-12)
+        u = np.array([-w[1], w[0]])
+        lengths = [np.ptp(v @ u) for v in verts]
+        assert rep.dw_at_argmax == pytest.approx((lengths[1], lengths[0]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

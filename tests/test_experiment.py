@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import polytorus.experiment as experiment
+import polytorus.polynomials as polynomials
 from polytorus.discrepancy import EXACT_MODE_POINT_CAP, PolarBox
 from polytorus.experiment import (
     ConfigError,
@@ -145,8 +146,46 @@ def test_run_experiment_files_and_determinism(tmp_path):
     ]
     assert (tmp_path / "a" / "summary.json").exists()
     timings = (tmp_path / "a" / "timings.csv").read_text().splitlines()
-    assert timings[0] == "d,trial,sample,classify,solve,angle,analyze"
+    assert timings[0] == "d,trial,sample,classify,solve,angle,eta,analyze"
     assert len(timings) == 1 + len(r1.records)
+
+
+def test_one_mixed_volume_per_solved_trial(tmp_path, monkeypatch, mixed_volume_calls):
+    # the solver's count is the mixed volume, handed on to eta; an
+    # exceptional trial stops before either
+    per_trial = []
+    original = experiment.run_trial
+
+    def counted_trial(*args):
+        before = len(mixed_volume_calls)
+        out = original(*args)
+        per_trial.append((out[0].exceptional, len(mixed_volume_calls) - before))
+        return out
+
+    monkeypatch.setattr(experiment, "run_trial", counted_trial)
+    result = run_experiment(tiny_config(tmp_path))
+    assert len(per_trial) == len(result.records) == 12
+    assert {exc for exc, _ in per_trial} == {True, False}
+    assert all(calls == (0 if exc else 1) for exc, calls in per_trial)
+
+
+def test_support_hull_built_once_per_trial(monkeypatch):
+    # the classifier, the solver and eta share each polynomial's hull
+    built = []
+    original = polynomials.convex_hull
+
+    def counted(points):
+        built.append(tuple(points))
+        return original(points)
+
+    monkeypatch.setattr(polynomials, "convex_hull", counted)
+    seen = set()
+    for d, t in [(2, 0), (2, 2), (4, 0), (4, 1)]:
+        built.clear()
+        rec, _, _, _ = run_trial(2, d, t, 5, (0.1,), "grid", 16, (), 16)
+        seen.add(rec.exceptional)
+        assert len(built) == 2
+    assert seen == {True, False}
 
 
 def test_parallelism_changes_nothing_but_timing(tmp_path):

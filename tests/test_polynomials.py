@@ -11,7 +11,6 @@ from polytorus.polynomials import (
     PolynomialError,
     coefficient_signs,
     directed_polynomial,
-    newton_polytope,
     sample_bernoulli_system,
     sup_norm_upper,
     support,
@@ -131,9 +130,68 @@ def test_directed_support_matches_face():
         g = math.gcd(abs(v[0]), abs(v[1]))
         v = (v[0] // g, v[1] // g)
         gpoly, b = directed_polynomial(f, v)
-        want = face(newton_polytope(f), v)
+        want = face(f.newton_polytope, v)
         got_size = len(gpoly.terms)
         assert got_size == len([p for p in want.points if p in dict(f.terms)])
+
+
+def _oracle_directed_polynomial(f, v):
+    """The per-term Python loop that `directed_polynomial` replaced."""
+    v = tuple(int(c) for c in v)
+    n = f.nvars
+    s = min(sum(e * c for e, c in zip(exp, v)) for exp, _ in f.terms)
+    face_terms = [
+        (exp, c) for exp, c in f.terms if sum(e * c2 for e, c2 in zip(exp, v)) == s
+    ]
+    b = min((exp for exp, _ in face_terms), key=lambda exp: exp[::-1])
+
+    if n == 1:
+        (exp, c) = face_terms[0]
+        return IntPolynomial.from_dict(0, {(): c}), b
+
+    def coords_for(diff):
+        if v == tuple(-1 for _ in range(n)):
+            return diff[1:]
+        units = [tuple(1 if k == m else 0 for k in range(n)) for m in range(n)]
+        if v in units:
+            m = units.index(v)
+            return diff[:m] + diff[m + 1 :]
+        u = (-v[1], v[0])
+        if u[0] != 0:
+            t, r = divmod(diff[0], u[0])
+        else:
+            t, r = divmod(diff[1], u[1])
+        assert not r and (t * u[0], t * u[1]) == diff
+        return (t,)
+
+    raw = {}
+    for exp, c in face_terms:
+        diff = tuple(e - bb for e, bb in zip(exp, b))
+        raw[coords_for(diff)] = c
+    mins = tuple(min(t[k] for t in raw) for k in range(n - 1))
+    shifted = {tuple(t[k] - mins[k] for k in range(n - 1)): c for t, c in raw.items()}
+    return IntPolynomial.from_dict(n - 1, shifted, offset=mins), b
+
+
+def test_directed_equals_per_term_oracle():
+    rng = random.Random(11)
+    dirs = [
+        (a, b)
+        for a in range(-3, 4)
+        for b in range(-3, 4)
+        if math.gcd(a, b) == 1
+    ]
+    for _ in range(200):
+        pts = {(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(1, 12))}
+        f = poly(2, {p: rng.choice([-2, -1, 1, 3]) for p in pts})
+        for v in dirs:
+            got, want = directed_polynomial(f, v), _oracle_directed_polynomial(f, v)
+            assert got == want
+            assert all(type(x) is int for x in (*got[1], *got[0].offset))
+            assert all(type(x) is int for e, c in got[0].terms for x in (*e, c))
+    for f in sample_bernoulli_system(1, 7, 2, 0).polys:
+        for v in [(1,), (-1,)]:
+            assert directed_polynomial(f, v) == _oracle_directed_polynomial(f, v)
 
 
 def test_directed_rejects_nonprimitive():

@@ -14,7 +14,6 @@ from polytorus import solver
 from polytorus.lattice import convex_hull, mixed_volume
 from polytorus.polynomials import (
     IntPolynomial,
-    newton_polytope,
     sample_bernoulli_system,
     sup_norm_upper,
 )
@@ -425,7 +424,7 @@ def test_mixed_support_bkk_pair():
         f2 = poly(2, {(0, 0): rng.randint(1, 9), (1, 1): rng.randint(1, 9)})
         if f1.is_zero or len(f1.terms) < 3:
             continue
-        hulls = [newton_polytope(f1), newton_polytope(f2)]
+        hulls = [f1.newton_polytope, f2.newton_polytope]
         if mixed_volume(hulls) != 4:
             continue
         rep = classify_exceptional((f1, f2))
@@ -683,6 +682,29 @@ def _full_set_aberth(coeffs):
             z = np.where(active, z - corr, z)
             active &= ~done
     return z[0], ~active[0], sweeps, counts, rescues
+
+
+def _blockwise_inverse_sum(z, idx):
+    """S_k in blocks of 256 rows, each block and its reciprocal freshly
+    allocated: the loop that `_pairwise_inverse_sum` replaced."""
+    blocks = []
+    for a in range(0, len(idx), 256):
+        rows = idx[a : a + 256]
+        diff = z[rows, None] - z
+        diff[np.arange(len(rows)), rows] = np.inf
+        blocks.append((1.0 / diff).sum(axis=1))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("deg", [3, 100, 256, 600])
+def test_pairwise_inverse_sum_equals_fresh_blocks(deg):
+    rng = np.random.default_rng(deg)
+    z = 10.0 ** rng.uniform(-0.1, 0.1, deg)
+    z = z * np.exp(1j * rng.uniform(-np.pi, np.pi, deg))
+    for idx in (np.arange(deg), np.sort(rng.choice(deg, deg // 3 + 1, replace=False))):
+        assert np.array_equal(
+            solver._pairwise_inverse_sum(z, idx), _blockwise_inverse_sum(z, idx)
+        )
 
 
 def _n1_suite_coeffs(d, trial):
