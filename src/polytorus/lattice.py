@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 Vec = tuple  # integer coordinate tuples
@@ -169,8 +169,10 @@ def convex_hull(points) -> LatticePolytope:
     return LatticePolytope(n, tuple(pts), tuple(verts))
 
 
+@lru_cache(maxsize=256)
 def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
-    """Hull of pairwise vertex sums."""
+    """Hull of pairwise vertex sums; cached, as the polytopes are immutable
+    and every system of one support sums the same hulls."""
     if p.dim != q.dim:
         raise GeometryError("Minkowski sum needs equal ambient dimensions")
     sums = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -85,8 +85,8 @@ class IntPolynomial:
 
     @cached_property
     def newton_polytope(self):
-        """Convex hull of the support, built once per polynomial."""
-        return convex_hull(support(self))
+        """Convex hull of the support, built once per support."""
+        return _support_hull(support(self))
 
     def __str__(self):
         if not self.terms:
@@ -102,6 +102,12 @@ class IntPolynomial:
         if any(self.offset):
             s += f"  (offset {self.offset})"
         return s
+
+
+@lru_cache(maxsize=256)
+def _support_hull(points: tuple):
+    """The hull of one support, shared by every polynomial that has it."""
+    return convex_hull(points)
 
 
 def support(f: IntPolynomial):

@@ -22,8 +22,9 @@ bounds every coefficient.  The exactness self-check is a check node one
 past the interpolation range, where the eliminant must equal the exact
 big-int resultant.
 
-Square-free structure is certified by Euclid on int64 vectors modulo
-the prime 2^31 - 1; a "maybe" falls back to exact Yun decomposition.
+Square-free structure is certified by the same int64 remainder sequence
+modulo the prime 2^31 - 1, with every polynomial of one degree a column
+of one run; a "maybe" falls back to exact Yun decomposition.
 
 On top of these sit the directional resultants of a system (faces of the
 supports translated into the orthogonal lattice line) and the
@@ -290,41 +291,73 @@ def _primes(count: int) -> list:
 _SQFREE_PRIME = _primes(1)[0]
 
 
-def _gcd_degree_mod(a, b, p) -> int | None:
-    """Degree of gcd(a, b) over F_p, or None when the reduction is unusable.
+def _euclid_mod(a, b, pv):
+    """Fraction-free Euclidean remainder sequence of the columns of a and b.
 
-    Euclid on int64 vectors: the divisor is made monic, then each leading
-    term of the dividend is cancelled by one vector update."""
-    am = np.array([c % p for c in a], dtype=np.int64)
-    bm = np.array([c % p for c in b], dtype=np.int64)
-    if not am.size or am[-1] == 0 or not bm.size or bm[-1] == 0:
-        return None
-    while True:
-        while bm.size and bm[-1] == 0:
-            bm = bm[:-1]
-        if not bm.size:
-            return am.size - 1
-        if am.size < bm.size:
-            am, bm = bm, am
-            continue
-        bm = bm * pow(int(bm[-1]), p - 2, p) % p
-        db = bm.size - 1
-        for k in range(am.size - bm.size, -1, -1):
-            c = am[db + k]
-            if c:
-                am[k : k + db + 1] = (am[k : k + db + 1] - c * bm) % p
-        am, bm = bm, am[:db]
+    a and b are (deg + 1, columns) int64 arrays of residues modulo pv (a
+    scalar or one modulus per column), of formal degrees deg a >= deg b.
+    Each step is fraction-free: deg a - deg b + 1 updates
+    a <- lc(b) a - c x^k b give prem = lc(b)^(deg a - deg b + 1) a mod b.
+    Its degree is the highest one nonzero in any column.  A column whose
+    own coefficient there vanishes, or whose a or b leads with zero (a
+    leading coefficient short, or the modulus dividing it), leaves the
+    common degree sequence: it is zeroed and reported as lost, for the
+    caller to resolve.
+
+    Returns (steps, last, lost): `steps` holds (lc(b), deg a, deg b,
+    deg prem) of every step with a nonzero remainder; `last` is the final
+    constant remainder, or None when a remainder vanished in every column
+    (a common factor of degree deg b in each column kept); `lost` is a
+    boolean mask of the columns.
+    """
+    da, db = len(a) - 1, len(b) - 1
+    lost = (a[da] == 0) | (b[db] == 0)
+    b = np.where(lost, 0, b)
+    steps = []
+    while db > 0:
+        lcb = b[db]
+        r = a
+        for k in range(da - db, -1, -1):
+            t = r[: db + k] * lcb
+            t[k:] -= r[db + k] * b[:db]
+            r = t % pv
+        dr = db - 1
+        while dr >= 0 and not r[dr].any():
+            dr -= 1
+        if dr < 0:
+            return steps, None, lost
+        steps.append((lcb, da, db, dr))
+        r = r[: dr + 1]
+        if not r[dr].all():
+            drop = r[dr] == 0
+            lost |= drop
+            r = np.where(drop, 0, r)
+        a, b, da, db = b, r, db, dr
+    return steps, b[0], lost
 
 
-def is_squarefree_certified(p) -> bool:
-    """True only with proof: gcd(p, p') is constant modulo a prime whose
-    reduction keeps the leading coefficient.  False means "maybe not"."""
-    p = trim(p)
-    if len(p) <= 2:
-        return len(p) == 2
-    dp = poly_derivative(p)
-    deg = _gcd_degree_mod(p, dp, _SQFREE_PRIME)
-    return deg == 0
+def _certify_squarefree(polys) -> list:
+    """Per integer polynomial, True only with proof that it is square-free:
+    gcd(p, p') is constant modulo 2^31 - 1, which keeps the leading
+    coefficient.  False means "maybe not".
+
+    The polynomials of each degree are the columns of one `_euclid_mod`
+    run; a column that leaves the common degree sequence stays uncertified.
+    """
+    out = [len(p) == 2 for p in polys]
+    by_degree = {}
+    for i, p in enumerate(polys):
+        if len(p) > 2:
+            by_degree.setdefault(len(p), []).append(i)
+    q = _SQFREE_PRIME
+    for width, idx in by_degree.items():
+        a = np.array([[c % q for c in polys[i]] for i in idx], dtype=np.int64).T
+        b = (a[1:] * np.arange(1, width)[:, None]) % q
+        _, last, lost = _euclid_mod(a, b, q)
+        if last is not None:
+            for i, ok in zip(idx, ~lost):
+                out[i] = bool(ok)
+    return out
 
 
 def squarefree_decomposition(p):
@@ -367,13 +400,16 @@ def _poly_sub(a, b):
     return trim(out)
 
 
-def roots_structure(p):
-    """[(square-free integer polynomial, multiplicity), ...] for root
-    finding: the certified square-free fast path avoids the exact gcd."""
-    p = poly_primitive(p)
-    if is_squarefree_certified(p):
-        return [(p, 1)]
-    return squarefree_decomposition(p)
+def roots_structure(*polys):
+    """Per integer polynomial, [(square-free integer polynomial,
+    multiplicity), ...] for root finding.  One batched certificate
+    (`_certify_squarefree`) covers all of them; only a polynomial it
+    leaves uncertified takes the exact Yun decomposition."""
+    prims = [poly_primitive(p) for p in polys]
+    return [
+        [(p, 1)] if ok else squarefree_decomposition(p)
+        for p, ok in zip(prims, _certify_squarefree(prims))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +510,14 @@ def _resultants_mod(rows1, rows2, lo: int, count: int, primes) -> np.ndarray:
     of the P primes.
 
     The rows are reduced modulo each prime in Python and evaluated at
-    every node by Horner's rule on int64.  Then one Euclidean remainder
-    sequence runs on all (prime, node) pairs at once, a polynomial being
-    a (degree + 1, pairs) array.  Each step is fraction-free:
-    deg a - deg b + 1 updates a <- lc(b) a - c x^k b give the
-    pseudo-remainder, and the powers of lc(b) that relate it to the
-    resultant go into a numerator and a denominator, inverted once at
-    the end.  The remainder's degree is the highest one nonzero in any
-    pair.  A pair whose own coefficient there vanishes (a leading
-    coefficient short at its node, or a prime dividing it) is zeroed,
-    and its node takes the exact `_formal_resultant`, once per node.
+    every node by Horner's rule on int64.  Then one fraction-free
+    remainder sequence (`_euclid_mod`) runs on all (prime, node) pairs at
+    once, a polynomial being a (degree + 1, pairs) array, and the powers
+    of lc(b) that relate each pseudo-remainder to the resultant go into a
+    numerator and a denominator, inverted once at the end.  A pair the
+    sequence loses (a leading coefficient short at its node, or a prime
+    dividing it) takes the exact `_formal_resultant` of its node, once
+    per node.
     """
     m1, m2 = len(rows1) - 1, len(rows2) - 1
     rows = rows1 + rows2
@@ -506,43 +540,24 @@ def _resultants_mod(rows1, rows2, lo: int, count: int, primes) -> np.ndarray:
     ev = (ev % p[:, None]).reshape(len(rows), -1)  # pair i * count + k
     pv = np.repeat(p, count)
     # Res(a, b) = (-1)^(deg a deg b) Res(b, a): the higher degree first
-    a, b, da, db = ev[: m1 + 1], ev[m1 + 1 :], m1, m2
-    negate = False
-    if da < db:
-        a, b, da, db = b, a, db, da
-        negate = bool(da * db & 1)
-    short = (a[da] == 0) | (b[db] == 0)
-    b = np.where(short, 0, b)
+    a, b, negate = ev[: m1 + 1], ev[m1 + 1 :], False
+    if m1 < m2:
+        a, b, negate = b, a, bool(m1 * m2 & 1)
+    steps, last, short = _euclid_mod(a, b, pv)
     num = np.ones_like(pv)
     den = np.ones_like(pv)
-    while db > 0:
-        # prem = lc(b)^(da-db+1) a mod b, of degree r:
-        # Res(a, b) = (-1)^(da db) lc(b)^(da-r-(da-db+1) db) Res(b, prem)
-        lcb = b[db]
-        r = a
-        for k in range(da - db, -1, -1):
-            t = r[: db + k] * lcb
-            t[k:] -= r[db + k] * b[:db]
-            r = t % pv
-        nonzero = np.flatnonzero(r.any(axis=1))
-        if not nonzero.size:
-            num[:] = 0  # the remainder vanishes at every node: a common factor
-            break
-        dr = int(nonzero[-1])
+    for lcb, da, db, dr in steps:
+        # Res(a, b) = (-1)^(da db) lc(b)^(da-dr-(da-db+1) db) Res(b, prem)
         negate ^= bool(da * db & 1)
         e = da - dr - (da - db + 1) * db
         if e >= 0:
             num = num * _pow_mod(lcb, e, pv) % pv
         else:
             den = den * _pow_mod(lcb, -e, pv) % pv
-        r = r[: dr + 1]
-        lost = r[dr] == 0
-        if lost.any():
-            short |= lost
-            r = np.where(lost, 0, r)
-        a, b, da, db = b, r, db, dr
-    else:
-        num = num * _pow_mod(b[0], da, pv) % pv  # Res(a, c) = c^deg(a)
+    if last is None:
+        num[:] = 0  # the remainder vanishes at every node: a common factor
+    else:  # Res(a, c) = c^deg(a), a the last divisor
+        num = num * _pow_mod(last, steps[-1][2] if steps else len(a) - 1, pv) % pv
     den[short] = 1  # their nodes are taken exactly below
     values = num * _inverse_mod(den.reshape(len(primes), count), primes).ravel() % pv
     if negate:

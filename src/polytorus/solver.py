@@ -1,13 +1,17 @@
 """Numerical root finding for the exact kernels.
 
-Univariate roots come from Aberth-Ehrlich simultaneous iteration started
-on a circle of radius (|a_0/a_d|)^(1/deg) with a deterministic angular
-perturbation; each sweep evaluates the points that have not stopped, on
-their side of the unit circle, by a factored power table, and corrects
-them by S_k = sum_j 1/(z_k - z_j) over all points: a stopped point is
-frozen but stays in every S_k.  A root stops when its correction is
-below ABERTH_TOL or its value is at the rounding floor of the power sum
-(`_aberth_batch`); a root flagged unconverged met neither test.  Bivariate systems are solved through both
+Univariate roots come from Aberth-Ehrlich simultaneous iteration.  Up to
+degree EIG_START_MAX_DEGREE it starts from the eigenvalues of the
+companion matrix, when they are finite, nonzero and pairwise distinct;
+otherwise, and at higher degree, from a circle of radius
+(|a_0/a_d|)^(1/deg) with a deterministic angular perturbation
+(`_start_points`).  Each sweep evaluates the points that have not
+stopped, on their side of the unit circle, by a factored power table,
+and corrects them by S_k = sum_j 1/(z_k - z_j) over all points: a
+stopped point is frozen but stays in every S_k.  A root stops when its
+correction is below ABERTH_TOL or its value is at the rounding floor of
+the power sum (`_aberth_batch`); a root flagged unconverged met neither
+test.  Bivariate systems are solved through both
 exact eliminants, without back-substitution: the roots of Res_x (the y
 coordinates) and of Res_y (the x coordinates) are paired by their scaled
 residual and polished by 2x2 Newton steps.  `dropped` counts y roots left
@@ -41,6 +45,9 @@ class NonIsolatedError(SolverError):
 
 ABERTH_MAX_SWEEPS = 200
 ABERTH_TOL = 1e-13
+# eigenvalue starts up to this degree; LAPACK's dhseqr switches to blocked
+# QR, whose rounding may depend on the BLAS thread count, at order 75
+EIG_START_MAX_DEGREE = 64
 ROUNDING_FLOOR = 4 * 2.0**-53  # C * u of the rounding-floor stop
 NEWTON_PAIR_STEPS = 2
 JACOBIAN_FLOOR = 1e-8  # |det J| relative to its two products: singular
@@ -168,8 +175,42 @@ def _pairwise_inverse_sum(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
+def _start_points(coeffs: np.ndarray) -> np.ndarray:
+    """Aberth's starting points for the roots of one polynomial, lowest
+    power first, lc nonzero.
+
+    Up to degree EIG_START_MAX_DEGREE: the eigenvalues of the companion
+    matrix, which are backward stable (Edelman & Murakami, Math. Comp. 64,
+    1995), so Aberth then stops within a few sweeps.  Starts that are not
+    finite, nonzero and pairwise distinct would stall or fool the
+    iteration; they, and higher degrees, take a circle of radius
+    (|a_0/a_d|)^(1/deg), clipped to [1e-3, 1e3], with a deterministic
+    angular perturbation.
+    """
+    deg = len(coeffs) - 1
+    if deg <= EIG_START_MAX_DEGREE:
+        a = coeffs.real  # integer coefficients, scaled
+        companion = np.eye(deg, k=-1)
+        with np.errstate(all="ignore"):
+            companion[:, -1] = -a[:-1] / a[-1]
+            try:
+                z = np.linalg.eigvals(companion).astype(complex)
+            except np.linalg.LinAlgError:  # a non-finite entry, or no convergence
+                z = np.zeros(deg, dtype=complex)
+        if np.isfinite(z).all() and z.all() and len(np.unique(z)) == deg:
+            return z
+    c0, lc = np.abs(coeffs[:1]), np.abs(coeffs[-1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = np.where(c0 > 0, (c0 / lc) ** (1.0 / deg), 1.0)
+    k = np.arange(deg)
+    jitter = ((k * 2654435761) % 997) / 997.0 - 0.5
+    angles = 2 * np.pi * (k + 0.3618) / deg + 1e-3 * jitter
+    return np.clip(radius, 1e-3, 1e3) * np.exp(1j * angles)
+
+
 def _aberth_batch(coeffs: np.ndarray):
-    """All roots of one polynomial, lowest power first, lc nonzero.
+    """All roots of one polynomial, lowest power first, lc nonzero, from
+    the starting points of `_start_points`.
 
     A point stops when its Aberth correction is below ABERTH_TOL
     (relative), or when |p| is within ROUNDING_FLOOR of the error scale
@@ -187,17 +228,10 @@ def _aberth_batch(coeffs: np.ndarray):
     if deg < 1:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=bool), 0
     row = coeffs[None, :]
-    c0, lc = np.abs(coeffs[:1]), np.abs(coeffs[-1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radius = np.where(c0 > 0, (c0 / lc) ** (1.0 / deg), 1.0)
-    k = np.arange(deg)
-    jitter = ((k * 2654435761) % 997) / 997.0 - 0.5
-    angles = 2 * np.pi * (k + 0.3618) / deg + 1e-3 * jitter
-    z = np.clip(radius, 1e-3, 1e3) * np.exp(1j * angles)
-
+    z = _start_points(coeffs)
     abs_row = np.abs(row)
     norm1 = abs_row.sum(axis=1)
-    idx = k  # the active points
+    idx = np.arange(deg)  # the active points
     sweeps = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while sweeps < ABERTH_MAX_SWEEPS and idx.size:
@@ -226,15 +260,17 @@ class RootsResult:
 
 
 def roots_univariate(coeffs) -> RootsResult:
-    """All complex roots of a univariate integer/float polynomial.
+    """All complex roots of a univariate integer polynomial.
 
     Roots at the origin (trailing zero coefficients) are split off
     exactly; the rest go through scaled Aberth iteration.  Practical up
     to degree ~2000 (the pairwise correction is O(active * d) per sweep).
+    Raises SolverError on a coefficient that is not an integer.
     """
     cs = list(coeffs)
-    exact = all(isinstance(c, int) for c in cs)
-    cs = trim(cs) if exact else _trim_float(cs)
+    if not all(isinstance(c, int) for c in cs):
+        raise SolverError("root finding needs integer coefficients")
+    cs = trim(cs)
     deg = len(cs) - 1
     if deg < 1:
         raise SolverError("root finding needs degree >= 1")
@@ -245,22 +281,11 @@ def roots_univariate(coeffs) -> RootsResult:
     if len(cs) <= 1:
         roots = np.zeros(nzero, dtype=complex)
         return RootsResult(roots, np.ones(nzero, dtype=bool), 0)
-    if exact:
-        coeffs = scaled_float_coeffs(cs).astype(complex)
-    else:
-        coeffs = np.array(cs, dtype=complex)
-    z, conv, sweeps = _aberth_batch(coeffs)
+    z, conv, sweeps = _aberth_batch(scaled_float_coeffs(cs).astype(complex))
     roots = np.concatenate([z, np.zeros(nzero, dtype=complex)])
     converged = np.concatenate([conv, np.ones(nzero, dtype=bool)])
     order = np.lexsort((roots.imag, roots.real))
     return RootsResult(roots=roots[order], converged=converged[order], sweeps=sweeps)
-
-
-def _trim_float(cs):
-    out = list(cs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -441,21 +466,20 @@ def solve_univariate_cycle(f: IntPolynomial):
     return cycle, diag
 
 
-def _eliminant_roots(r, warnings):
-    """(distinct roots, multiplicities, Aberth sweeps) of the integer
-    polynomial r: the exact square-free structure first, so Aberth only
-    ever sees simple roots."""
+def _eliminant_roots(structure, warnings):
+    """(distinct roots, multiplicities, Aberth sweeps) of an eliminant
+    from its exact square-free structure (`roots_structure`), so Aberth
+    only ever sees simple roots."""
     roots, mults, sweeps = [], [], 0
-    if len(r) > 1:
-        for factor, mult in roots_structure(r):
-            res = roots_univariate(factor)
-            sweeps += res.sweeps
-            if not res.converged.all():
-                warnings.append(
-                    f"{int((~res.converged).sum())} eliminant roots unconverged"
-                )
-            roots.extend(res.roots)
-            mults.extend([mult] * len(res.roots))
+    for factor, mult in structure:
+        res = roots_univariate(factor)
+        sweeps += res.sweeps
+        if not res.converged.all():
+            warnings.append(
+                f"{int((~res.converged).sum())} eliminant roots unconverged"
+            )
+        roots.extend(res.roots)
+        mults.extend([mult] * len(res.roots))
     return np.array(roots, dtype=complex), np.array(mults, dtype=int), sweeps
 
 
@@ -578,8 +602,9 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
     eliminant vanishes identically.
 
     Desk scale: total degrees up to ~16 per input (eliminant degree 256).
-    The eliminants, taken modulo word-size primes, are about a fifth of
-    a solve at d = 10 to 16; root finding and pairing take the rest.
+    At d = 4 to 12 the eliminants, taken modulo word-size primes, are
+    about a quarter to a third of a solve, their square-free certificate
+    an eighth, Aberth 30-40% and the pairing the rest.
     """
     ry = eliminant_bivariate(f1, f2, "x")  # polynomial in y
     rx = eliminant_bivariate(f1, f2, "y")  # polynomial in x
@@ -599,8 +624,9 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
         return ZeroCycle(2, (), RESIDUAL_TOL), diag
 
     warnings = []
-    ys, ymults, ysweeps = _eliminant_roots(ry, warnings)
-    xs, xmults, xsweeps = _eliminant_roots(rx, warnings)
+    ystructure, xstructure = roots_structure(ry, rx)
+    ys, ymults, ysweeps = _eliminant_roots(ystructure, warnings)
+    xs, xmults, xsweeps = _eliminant_roots(xstructure, warnings)
     sups = [float(sup_norm_upper(f1)), float(sup_norm_upper(f2))]
     dense = [_dense_coeffs(f1), _dense_coeffs(f2)]
     pairs, cap = _greedy_pairs(_pair_scores(dense, sups, xs, ys), ymults, xmults)

@@ -9,6 +9,7 @@ import pytest
 
 import polytorus.experiment as experiment
 import polytorus.polynomials as polynomials
+from polytorus.polynomials import sample_bernoulli_system
 from polytorus.discrepancy import EXACT_MODE_POINT_CAP, PolarBox
 from polytorus.experiment import (
     ConfigError,
@@ -170,7 +171,9 @@ def test_one_mixed_volume_per_solved_trial(tmp_path, monkeypatch, mixed_volume_c
 
 
 def test_support_hull_built_once_per_trial(monkeypatch):
-    # the classifier, the solver and eta share each polynomial's hull
+    # the classifier, the solver and eta share each polynomial's hull, and
+    # every trial of one degree shares the hull of its full support: it is
+    # built once, in the first trial of the degree
     built = []
     original = polynomials.convex_hull
 
@@ -179,13 +182,30 @@ def test_support_hull_built_once_per_trial(monkeypatch):
         return original(points)
 
     monkeypatch.setattr(polynomials, "convex_hull", counted)
+    polynomials._support_hull.cache_clear()
     seen = set()
     for d, t in [(2, 0), (2, 2), (4, 0), (4, 1)]:
         built.clear()
         rec, _, _, _ = run_trial(2, d, t, 5, (0.1,), "grid", 16, (), 16)
         seen.add(rec.exceptional)
-        assert len(built) == 2
+        full = tuple(sorted(e for e, _ in sample_bernoulli_system(2, d, 5, t).polys[0].terms))
+        assert [tuple(sorted(b)) for b in built] == ([full] if t == 0 else [])
     assert seen == {True, False}
+    polynomials._support_hull.cache_clear()
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the serial suites never start a pool, so no interpreter pays its import
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    script = "import sys, polytorus; print('concurrent.futures.process' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.strip() == "False"
 
 
 def test_parallelism_changes_nothing_but_timing(tmp_path):
@@ -223,6 +243,9 @@ def test_records_do_not_depend_on_blas_threads(tmp_path):
                 angle_mode="exact", box_probes=n1_probes, out_dir=out,
             ),
             tiny_config(tmp_path, degrees=[10], trials_per_degree=2, out_dir=out),
+            # eliminant factors of degree 16 and 64: eigenvalue starts, up
+            # to the crossover
+            tiny_config(tmp_path, degrees=[4, 8], trials_per_degree=3, out_dir=out),
         ]
         env = {**os.environ, "PYTHONPATH": src}
         env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
@@ -231,12 +254,13 @@ def test_records_do_not_depend_on_blas_threads(tmp_path):
             env=env,
             check=True,
         )
-        names = ["trials_n1_d100", "trials_n1_d300", "trials_n2_d10"]
+        names = ["trials_n1_d100", "trials_n1_d300", "trials_n2_d10",
+                 "trials_n2_d4", "trials_n2_d8"]
         records.append([
             (tmp_path / f"threads{threads}" / f"{name}.jsonl").read_bytes()
             for name in names
         ])
-    assert all(len(r.splitlines()) == 2 for r in records[0])
+    assert [len(r.splitlines()) for r in records[0]] == [2, 2, 2, 3, 3]
     assert records[0] == records[1]
 
 

@@ -25,7 +25,6 @@ from polytorus.resultants import (
     classify_exceptional,
     directional_resultant,
     eliminant_bivariate,
-    is_squarefree_certified,
     poly_derivative,
     poly_divexact,
     poly_gcd,
@@ -207,9 +206,9 @@ def test_squarefree_decomposition():
 
 
 def test_roots_structure_fast_path():
-    assert roots_structure([-1, 0, 1]) == [([-1, 0, 1], 1)]
     sq = poly_mul([-1, 1], [-1, 1])
-    assert roots_structure(sq) == [([-1, 1], 2)]
+    assert roots_structure([-1, 0, 1], sq, [5]) == [[([-1, 0, 1], 1)], [([-1, 1], 2)], []]
+    assert roots_structure() == []
 
 
 def test_certificate_int64_bound():
@@ -222,31 +221,95 @@ def test_certificate_rejects_square_factors():
     for _ in range(200):
         p = random_poly(rng, rng.randint(1, 12), -99, 99)
         q = random_poly(rng, rng.randint(1, 6), -99, 99)
-        assert not is_squarefree_certified(poly_mul(p, poly_mul(q, q)))
+        assert res._certify_squarefree([poly_mul(p, poly_mul(q, q))]) == [False]
 
 
-def test_certificate_unusable_prime_falls_back_to_yun():
-    # the prime divides the leading coefficient: "maybe", then exact Yun
+def _gcd_degree_mod(a, b, p):
+    """Degree of gcd(a, b) over F_p, or None when a leading coefficient
+    vanishes modulo p: Euclid on int64 vectors, the divisor made monic at
+    every step.  The single-polynomial certificate that the batched
+    remainder sequence replaced, kept as its oracle."""
+    am = np.array([c % p for c in a], dtype=np.int64)
+    bm = np.array([c % p for c in b], dtype=np.int64)
+    if not am.size or am[-1] == 0 or not bm.size or bm[-1] == 0:
+        return None
+    while True:
+        while bm.size and bm[-1] == 0:
+            bm = bm[:-1]
+        if not bm.size:
+            return am.size - 1
+        if am.size < bm.size:
+            am, bm = bm, am
+            continue
+        bm = bm * pow(int(bm[-1]), p - 2, p) % p
+        db = bm.size - 1
+        for k in range(am.size - bm.size, -1, -1):
+            c = am[db + k]
+            if c:
+                am[k : k + db + 1] = (am[k : k + db + 1] - c * bm) % p
+        am, bm = bm, am[:db]
+
+
+def _oracle_certified(p) -> bool:
+    p = trim(p)
+    if len(p) <= 2:
+        return len(p) == 2
+    return _gcd_degree_mod(p, poly_derivative(p), _SQFREE_PRIME) == 0
+
+
+def test_batched_certificate_agrees_with_yun_on_planted_pairs():
+    # p q, p2 q^2 and p2 q of many degrees in one batch: the polynomials of
+    # each degree, square-free or not, are the columns of one run
+    rng = random.Random(17)
+    batch, square_free = [], []
+    for _ in range(60):
+        q = random_poly(rng, rng.randint(1, 4), -99, 99)
+        p = random_poly(rng, rng.randint(1, 8), -99, 99)
+        p2 = random_poly(rng, len(p) - 1 + len(q) - 1, -99, 99)
+        for f in (poly_mul(p, q), poly_mul(p2, poly_mul(q, q)), poly_mul(p2, q)):
+            batch.append(f)
+            square_free.append(poly_gcd(f, poly_derivative(f)) == [1])
+    assert len({len(f) for f in batch}) < len(batch) // 4  # the columns share degrees
+    verdicts = res._certify_squarefree(batch)
+    assert sum(verdicts) >= 100
+    assert not any(v and not sf for v, sf in zip(verdicts, square_free))
+    assert verdicts == [_oracle_certified(f) for f in batch]
+    assert roots_structure(*batch) == [squarefree_decomposition(f) for f in batch]
+
+
+def test_certificate_unusable_prime_falls_back_to_yun(monkeypatch):
+    # the prime divides the leading coefficient: "maybe", then exact Yun,
+    # for that column only
     squarefree = [1, 3, 0, 5 * _SQFREE_PRIME]
     squared = poly_mul(poly_mul([-1, 1], [-1, 1]), [1, _SQFREE_PRIME])
-    for f in (squarefree, squared):
-        assert not is_squarefree_certified(f)
-        assert roots_structure(f) == squarefree_decomposition(f)
-    assert roots_structure(squarefree) == [(squarefree, 1)]
-    assert roots_structure(squared) == [([1, _SQFREE_PRIME], 1), ([-1, 1], 2)]
+    plain = [1, 3, 0, 5]
+    assert res._certify_squarefree([squarefree, squared, plain]) == [False, False, True]
+    yun = []
+    monkeypatch.setattr(
+        res, "squarefree_decomposition", lambda f: yun.append(f) or squarefree_decomposition(f)
+    )
+    assert roots_structure(squarefree, squared, plain) == [
+        [(squarefree, 1)],
+        [([1, _SQFREE_PRIME], 1), ([-1, 1], 2)],
+        [(plain, 1)],
+    ]
+    assert yun == [squarefree, squared]
 
 
 def test_certificate_is_a_proof_on_the_default_suite():
-    # every eliminant the n=2 default suite solves at d <= 6
+    # every eliminant the n=2 default suite solves at d <= 6, both of a
+    # trial in one batch, with the verdicts of the single-polynomial oracle
     cfg = json.load(open(CONFIG_DIR / "default_suite_n2.json"))
     certified = 0
     for d in (4, 6):
         assert d in cfg["degrees"]
         for t in range(cfg["trials_per_degree"]):
             s = sample_bernoulli_system(2, d, cfg["master_seed"], t)
-            for axis in "xy":
-                r = eliminant_bivariate(*s.polys, axis)
-                if is_squarefree_certified(r):
+            pair = [eliminant_bivariate(*s.polys, axis) for axis in "xy"]
+            verdicts = res._certify_squarefree(pair)
+            assert verdicts == [_oracle_certified(r) for r in pair]
+            for r, ok in zip(pair, verdicts):
+                if ok:
                     certified += 1
                     assert poly_gcd(r, poly_derivative(r)) == [1]
     assert certified >= 700

@@ -85,6 +85,12 @@ def test_roots_requires_degree():
         roots_univariate([3])
 
 
+@pytest.mark.parametrize("coeffs", [[1.0, 0, 1], [1, 0, np.int64(1)], [1, 0.5, 1]])
+def test_roots_require_integer_coefficients(coeffs):
+    with pytest.raises(SolverError, match="integer"):
+        roots_univariate(coeffs)
+
+
 @given(st.integers(0, 2**32), st.integers(2, 60))
 @settings(max_examples=30, deadline=None)
 def test_vieta_sum(seed, d):
@@ -119,7 +125,7 @@ def test_floor_stop_ends_ill_conditioned_batch(monkeypatch):
     # the Aberth correction alone it ran all 200 sweeps and left 2 roots
     # flagged unconverged
     s = sample_bernoulli_system(2, 10, 1, 13)
-    ((factor, mult),) = roots_structure(eliminant_bivariate(*s.polys, "y"))
+    (((factor, mult),),) = roots_structure(eliminant_bivariate(*s.polys, "y"))
     assert (mult, len(factor) - 1) == (1, 100)
     calls = []
     floor_test = solver._at_rounding_floor
@@ -640,22 +646,29 @@ def test_roots_of_unity_degree_1000():
     assert np.max(np.abs(res.roots - np.exp(2j * np.pi * k / d))) <= 1e-12
 
 
-def _full_set_aberth(coeffs):
-    """The Aberth loop that evaluates every point and forms every S_k each
-    sweep, then keeps the corrections of the active points only.  Returns
-    (roots, converged, sweeps, active points per sweep, rescue sweeps)."""
-    coeff_rows = coeffs[None, :]
-    rows, width = coeff_rows.shape
-    deg = width - 1
-    lc = np.abs(coeff_rows[:, -1])
-    c0 = np.abs(coeff_rows[:, 0])
+def _circle_start(coeffs):
+    """The circle of radius (|a_0/a_d|)^(1/deg), clipped to [1e-3, 1e3],
+    with a deterministic angular perturbation."""
+    deg = len(coeffs) - 1
     with np.errstate(divide="ignore", invalid="ignore"):
+        c0, lc = np.abs(coeffs[:1]), np.abs(coeffs[-1:])
         radius = np.where(c0 > 0, (c0 / lc) ** (1.0 / deg), 1.0)
-    radius = np.clip(radius, 1e-3, 1e3)
     k = np.arange(deg)
     jitter = ((k * 2654435761) % 997) / 997.0 - 0.5
     angles = 2 * np.pi * (k + 0.3618) / deg + 1e-3 * jitter
-    z = radius[:, None] * np.exp(1j * angles)[None, :]
+    return np.clip(radius, 1e-3, 1e3) * np.exp(1j * angles)
+
+
+def _full_set_aberth(coeffs, start=None):
+    """The Aberth loop that evaluates every point and forms every S_k each
+    sweep, then keeps the corrections of the active points only, from
+    `start` or else from `_circle_start`.  Returns (roots, converged,
+    sweeps, active points per sweep, rescue sweeps)."""
+    coeff_rows = coeffs[None, :]
+    rows, width = coeff_rows.shape
+    deg = width - 1
+    k = np.arange(deg)
+    z = (_circle_start(coeffs) if start is None else start)[None, :]
 
     abs_rows = np.abs(coeff_rows)
     norm1 = abs_rows.sum(axis=1)
@@ -752,6 +765,53 @@ def test_active_set_aberth_matches_full_set_loop(case):
         assert sweeps == solver.ABERTH_MAX_SWEEPS and (~converged).sum() == 10
     if case.startswith("sum z^j"):
         assert rescues > 0
+
+
+@pytest.mark.parametrize("case", ["1 + 1e200 z^10 + z^20", "sum z^j + 1e308 z^20"])
+def test_degenerate_eigenvalue_starts_take_the_circle(case):
+    # below the crossover, but the companion eigenvalues hold repeated
+    # exact zeros (11 distinct of 20 for 1e200, whose 10 zeros would
+    # "converge" to 0 in one sweep; 21 of 40 for 1e308): the guard starts
+    # on the circle
+    coeffs = _ABERTH_CASES[case]
+    deg = len(coeffs) - 1
+    assert deg <= solver.EIG_START_MAX_DEGREE
+    companion = np.eye(deg, k=-1)
+    companion[:, -1] = -coeffs.real[:-1] / coeffs.real[-1]
+    eig = np.linalg.eigvals(companion)
+    assert not eig.all() and len(np.unique(eig)) < deg
+    assert np.array_equal(solver._start_points(coeffs), _circle_start(coeffs))
+
+
+def _eliminant_factor(d, trial, axis):
+    s = sample_bernoulli_system(2, d, 1, trial)
+    (((factor, _), *_),) = roots_structure(eliminant_bivariate(*s.polys, axis))
+    return solver.scaled_float_coeffs(factor).astype(complex)
+
+
+@pytest.mark.parametrize("d, trial", [(4, 1), (6, 1), (8, 2), (8, 4)])
+def test_eigenvalue_starts_stop_within_three_sweeps(d, trial):
+    # Res_x and Res_y of full systems: degree d^2 <= EIG_START_MAX_DEGREE
+    for axis in "xy":
+        coeffs = _eliminant_factor(d, trial, axis)
+        assert len(coeffs) - 1 == d * d <= solver.EIG_START_MAX_DEGREE
+        start = solver._start_points(coeffs)
+        assert not np.array_equal(start, _circle_start(coeffs))
+        z, converged, sweeps = solver._aberth_batch(coeffs)
+        assert converged.all() and 1 <= sweeps <= 3
+        ref_z, ref_converged, ref_sweeps, _, _ = _full_set_aberth(coeffs, start)
+        assert np.array_equal(z, ref_z) and np.array_equal(converged, ref_converged)
+        assert sweeps == ref_sweeps
+
+
+def test_above_the_crossover_aberth_starts_on_the_circle():
+    coeffs = _eliminant_factor(10, 0, "y")
+    assert len(coeffs) - 1 == 100 > solver.EIG_START_MAX_DEGREE
+    z, converged, sweeps = solver._aberth_batch(coeffs)
+    ref_z, ref_converged, ref_sweeps, _, _ = _full_set_aberth(coeffs)
+    assert np.array_equal(z, ref_z)
+    assert np.array_equal(converged, ref_converged)
+    assert sweeps == ref_sweeps > 3
 
 
 @pytest.mark.parametrize("d", [100, 400])
