@@ -14,7 +14,7 @@ from polytorus import (
     facet_normals,
     minkowski_sum,
     mixed_volume,
-    standard_simplex,
+    simplex_points,
     support_value,
     volume,
 )
@@ -22,7 +22,7 @@ from polytorus import (
 # The support of a dense degree-d polynomial in n variables is the set of
 # lattice points of the dilated standard simplex d*Sigma_n.
 d = 3
-simplex = standard_simplex(2, d)
+simplex = convex_hull(simplex_points(2, d))
 print(f"{d}*Sigma_2 has vertices {simplex.vertices}")
 print(f"volume = {volume(simplex)} (= d^2/2)")
 

@@ -14,7 +14,6 @@ from .discrepancy import (
     box_count,
     discrepancy_bounds,
     erdos_turan_size,
-    eta_upper_bound,
     radius_discrepancy,
 )
 from .experiment import (
@@ -36,7 +35,6 @@ from .lattice import (
     minkowski_sum,
     mixed_volume,
     simplex_points,
-    standard_simplex,
     support_value,
     volume,
 )

@@ -272,16 +272,6 @@ def _eta_bound(polys, logs, d_mv) -> float:
     return float((n + math.sqrt(n)) * prod_d * total / d_mv)
 
 
-def _supports_mixed_volume(polys) -> int:
-    return int(mixed_volume([f.newton_polytope for f in polys]))
-
-
-def eta_upper_bound(polys) -> float:
-    """The (n + sqrt n) (prod d_i) sum_i log||f_i|| / d_i bound over D."""
-    polys = tuple(polys.polys) if hasattr(polys, "polys") else tuple(polys)
-    return _eta_bound(polys, _sup_logs(polys), _supports_mixed_volume(polys))
-
-
 def erdos_turan_size(
     system, report: DirectionalReport = None, d_mv: int = None
 ) -> EtaReport:
@@ -304,7 +294,7 @@ def erdos_turan_size(
         report = classify_exceptional(polys)
     logs = _sup_logs(polys)
     if d_mv is None:
-        d_mv = _supports_mixed_volume(polys)
+        d_mv = int(mixed_volume([f.newton_polytope for f in polys]))
     upper = _eta_bound(polys, logs, d_mv)
     if any(e.value == 0 for e in report.entries):
         return EtaReport(

@@ -119,15 +119,6 @@ class LatticePolytope:
     def is_full_dimensional(self) -> bool:
         return self.rank == self.dim
 
-    def translate(self, b: Vec) -> "LatticePolytope":
-        b = tuple(b)
-        move = lambda p: tuple(c + o for c, o in zip(p, b))
-        return LatticePolytope(
-            self.dim,
-            tuple(sorted(move(p) for p in self.points)),
-            tuple(sorted(move(v) for v in self.vertices)),
-        )
-
 
 # ---------------------------------------------------------------------------
 # hulls
@@ -278,19 +269,3 @@ def simplex_points(n: int, d: int):
 
     rec([], d, 0)
     return sorted(out)
-
-
-def standard_simplex(n: int, d: int, all_points: bool = True) -> LatticePolytope:
-    """The dilated standard simplex d*Sigma_n as a polytope.
-
-    With all_points=True the generators are every lattice point (the support
-    of a dense degree-d polynomial); otherwise just the n+1 corners.
-    """
-    if all_points:
-        return convex_hull(simplex_points(n, d))
-    corners = [tuple([0] * n)]
-    for m in range(n):
-        e = [0] * n
-        e[m] = d
-        corners.append(tuple(e))
-    return convex_hull(corners)

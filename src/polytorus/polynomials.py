@@ -88,21 +88,6 @@ class IntPolynomial:
         """Convex hull of the support, built once per support."""
         return _support_hull(support(self))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for exp, c in self.terms:
-            mon = "".join(
-                f"x{i+1}^{e}" if e > 1 else (f"x{i+1}" if e == 1 else "")
-                for i, e in enumerate(exp)
-            )
-            bits.append(f"{c:+d}{mon}" if mon else f"{c:+d}")
-        s = " ".join(bits)
-        if any(self.offset):
-            s += f"  (offset {self.offset})"
-        return s
-
 
 @lru_cache(maxsize=256)
 def _support_hull(points: tuple):
@@ -221,10 +206,6 @@ class BernoulliSystem:
     seed: int
     trial: int
     polys: tuple
-
-    @property
-    def expected_count(self) -> int:
-        return self.d**self.n
 
 
 _STREAM_PERSON = b"pt-coeff-stream"

@@ -22,9 +22,10 @@ bounds every coefficient.  The exactness self-check is a check node one
 past the interpolation range, where the eliminant must equal the exact
 big-int resultant.
 
-Square-free structure is certified by the same int64 remainder sequence
-modulo the prime 2^31 - 1, with every polynomial of one degree a column
-of one run; a "maybe" falls back to exact Yun decomposition.
+Square-free structure, the solver's fallback where its inclusion disks
+touch, is certified by the same remainder sequence modulo 2^31 - 1,
+polynomials of one degree as columns of one run; a "maybe" falls back to
+exact Yun decomposition.
 
 On top of these sit the directional resultants of a system (faces of the
 supports translated into the orthogonal lattice line) and the
@@ -401,10 +402,10 @@ def _poly_sub(a, b):
 
 
 def roots_structure(*polys):
-    """Per integer polynomial, [(square-free integer polynomial,
-    multiplicity), ...] for root finding.  One batched certificate
-    (`_certify_squarefree`) covers all of them; only a polynomial it
-    leaves uncertified takes the exact Yun decomposition."""
+    """Per integer polynomial, [(square-free primitive polynomial,
+    multiplicity), ...].  One batched certificate (`_certify_squarefree`)
+    covers all of them; only one it leaves uncertified takes the exact Yun
+    decomposition, which can take seconds at degree ~150."""
     prims = [poly_primitive(p) for p in polys]
     return [
         [(p, 1)] if ok else squarefree_decomposition(p)

@@ -2,8 +2,8 @@
 
 Univariate roots come from Aberth-Ehrlich simultaneous iteration.  Up to
 degree EIG_START_MAX_DEGREE it starts from the eigenvalues of the
-companion matrix, when they are finite, nonzero and pairwise distinct;
-otherwise, and at higher degree, from a circle of radius
+companion matrix, when they are finite and pairwise distinct (a zero is
+fine, as a_0 != 0); otherwise, and at higher degree, from a circle of radius
 (|a_0/a_d|)^(1/deg) with a deterministic angular perturbation
 (`_start_points`).  Each sweep evaluates the points that have not
 stopped, on their side of the unit circle, by a factored power table,
@@ -11,12 +11,16 @@ and corrects them by S_k = sum_j 1/(z_k - z_j) over all points: a
 stopped point is frozen but stays in every S_k.  A root stops when its
 correction is below ABERTH_TOL or its value is at the rounding floor of
 the power sum (`_aberth_batch`); a root flagged unconverged met neither
-test.  Bivariate systems are solved through both
-exact eliminants, without back-substitution: the roots of Res_x (the y
-coordinates) and of Res_y (the x coordinates) are paired by their scaled
-residual and polished by 2x2 Newton steps.  `dropped` counts y roots left
-unpaired, `cross_check_mismatches` x multiplicity left unpaired, and
-`iterations` the Aberth sweeps of both eliminants.
+test.  `_root_multisets` turns those roots into distinct roots with
+exact multiplicities, for n = 1 and both eliminants at n = 2: pairwise
+disjoint Newton inclusion disks prove them simple, and only where the
+disks touch does the exact square-free structure decide.  Bivariate
+systems are solved through both exact eliminants, without
+back-substitution: the roots of Res_x (the y coordinates) and of Res_y
+(the x coordinates) are paired by their scaled residual and polished by
+2x2 Newton steps.  `dropped` counts y roots left unpaired,
+`cross_check_mismatches` x multiplicity left unpaired, and `iterations`
+the Aberth sweeps of both eliminants.
 
 Output ordering is normalized (lexicographic by real/imaginary parts) so
 results do not depend on scheduling.
@@ -32,7 +36,7 @@ import numpy as np
 
 from .lattice import mixed_volume
 from .polynomials import IntPolynomial, sup_norm_upper
-from .resultants import eliminant_bivariate, roots_structure, trim
+from .resultants import eliminant_bivariate, poly_primitive, roots_structure, trim
 
 
 class SolverError(RuntimeError):
@@ -48,10 +52,11 @@ ABERTH_TOL = 1e-13
 # eigenvalue starts up to this degree; LAPACK's dhseqr switches to blocked
 # QR, whose rounding may depend on the BLAS thread count, at order 75
 EIG_START_MAX_DEGREE = 64
-ROUNDING_FLOOR = 4 * 2.0**-53  # C * u of the rounding-floor stop
+UNIT_ROUNDOFF = 2.0**-53
+ROUNDING_FLOOR = 4 * UNIT_ROUNDOFF  # C * u of the rounding-floor stop
+DISK_SLACK = 1e-12  # covers rounding of radii and centre distances (~20 u)
 NEWTON_PAIR_STEPS = 2
 JACOBIAN_FLOOR = 1e-8  # |det J| relative to its two products: singular
-CLUSTER_RADIUS = 1e-7
 RESIDUAL_TOL = 1e-6
 
 
@@ -138,23 +143,28 @@ def _newton_ratio(coeff_rows: np.ndarray, z: np.ndarray):
     return num / np.where(den == 0, 1e-300, den), p
 
 
+def _error_scales(abs_coeffs, z):
+    """(e, e') at the points z: e = sum_j |a_j| |v|^j, the error scale of
+    the power sum `_eval_one_side` takes at z (v = z or 1/z, a reversed
+    outside), and e' = sum_j j |a_j| |v|^(j-1), that of its derivative:
+    the same power sum for |a| at |z|, nonnegative terms rounded within a
+    relative 4 (deg + 1) u."""
+    _, _, e, de = _eval_one_side(abs_coeffs[None, :], np.abs(z)[None, :])
+    return e[0].real, de[0].real
+
+
 def _at_rounding_floor(abs_rows, norm1, z, p, cand):
-    """Which points of `cand` have |p| <= ROUNDING_FLOOR * e, where
-    e = sum_j |a_j| |v|^j on the point's side (v = z or 1/z, |v| <= 1) is
-    the error scale of the power sum that gave p (`_eval_one_side`).
+    """Which points of `cand` have |p| <= ROUNDING_FLOOR * e, where e is
+    the error scale of the power sum that gave p (`_error_scales`).
 
     e <= ||a||_1, so |p| <= ROUNDING_FLOOR * ||a||_1 pre-filters for free
     and e is formed for the few points that pass it.
     """
     absp = np.abs(p)
     cand = cand & (absp <= ROUNDING_FLOOR * norm1[:, None])
-    if cand.any():
-        r, k = np.nonzero(cand)
-        av = np.abs(z[r, k])
-        outside = av > 1.0
-        av = np.where(outside, 1.0 / np.where(outside, av, 1.0), av)
-        a = np.where(outside[:, None], abs_rows[r, ::-1], abs_rows[r])
-        e = (a * av[:, None] ** np.arange(abs_rows.shape[1])).sum(axis=1)
+    for r in np.flatnonzero(cand.any(axis=1)):
+        k = np.flatnonzero(cand[r])
+        e, _ = _error_scales(abs_rows[r], z[r, k])
         cand[r, k] = absp[r, k] <= ROUNDING_FLOOR * e
     return cand
 
@@ -182,8 +192,8 @@ def _start_points(coeffs: np.ndarray) -> np.ndarray:
     Up to degree EIG_START_MAX_DEGREE: the eigenvalues of the companion
     matrix, which are backward stable (Edelman & Murakami, Math. Comp. 64,
     1995), so Aberth then stops within a few sweeps.  Starts that are not
-    finite, nonzero and pairwise distinct would stall or fool the
-    iteration; they, and higher degrees, take a circle of radius
+    finite and pairwise distinct would stall or fool the iteration; they,
+    and higher degrees, take a circle of radius
     (|a_0/a_d|)^(1/deg), clipped to [1e-3, 1e3], with a deterministic
     angular perturbation.
     """
@@ -197,7 +207,7 @@ def _start_points(coeffs: np.ndarray) -> np.ndarray:
                 z = np.linalg.eigvals(companion).astype(complex)
             except np.linalg.LinAlgError:  # a non-finite entry, or no convergence
                 z = np.zeros(deg, dtype=complex)
-        if np.isfinite(z).all() and z.all() and len(np.unique(z)) == deg:
+        if np.isfinite(z).all() and len(np.unique(z)) == deg:
             return z
     c0, lc = np.abs(coeffs[:1]), np.abs(coeffs[-1:])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -289,6 +299,117 @@ def roots_univariate(coeffs) -> RootsResult:
 
 
 # ---------------------------------------------------------------------------
+# distinct roots with exact multiplicities
+
+
+def _inclusion_radii(coeffs: np.ndarray, z: np.ndarray):
+    """(r, p) at the points z: p the value on each point's side of the
+    unit circle (`_eval_one_side`), r a radius such that |zeta - z| <= r
+    provably holds a root of the integer polynomial that `coeffs`, lowest
+    power first with a_0 != 0, rounds.  Exact zeros of z, roots split off
+    before, get r = p = 0.
+
+    r is Newton's deg |p|+ / |p'|-, or inf where |p'|- <= 0.  p and p'
+    are within (4 deg + 8) u e and (4 deg + 8) u e' (`_error_scales`): the
+    power sum's 4 (deg + 1) u, the coefficient rounding and, to second
+    order, that of e and e'; underflow adds 4 (deg + 1)^2 2^-1074.  Outside
+    the unit circle, v = fl(1/z) is 1/z' for a z' within 8 u |z| of z
+    (complex division rounds within about 5 u), r gains that 8 u |z|, and
+    p/p' = z' q(v) / (deg q(v) - v q'(v)) with q(v) = v^deg p(1/v), whose
+    denominator is formed within 10 u (deg |q| + |v| |q'|).
+    """
+    deg, u = len(coeffs) - 1, UNIT_ROUNDOFF
+    outside, v, p, dp = (a[0] for a in _eval_one_side(coeffs[None, :], z[None, :]))
+    e, de = _error_scales(np.abs(coeffs), z)
+    tiny = 4 * (deg + 1) ** 2 * 2.0**-1074
+    pe, dpe = (4 * deg + 8) * u * e + tiny, (4 * deg + 8) * u * de + tiny
+    ap, adp, av, az = np.abs(p), np.abs(dp), np.abs(v), np.abs(z)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        den = np.abs(deg * p - v * dp) - deg * pe - av * dpe
+        den = np.where(outside, den - 10 * u * (deg * ap + av * adp), adp - dpe)
+        r = deg * np.where(outside, az, 1.0) * (ap + pe) / np.where(den > 0, den, 0.0)
+    r += np.where(outside, 8 * u * az, 0.0)
+    zero = z == 0
+    return np.where(zero, 0.0, r), np.where(zero, 0, p)
+
+
+def _disjoint(z: np.ndarray, r: np.ndarray) -> bool:
+    """Whether the disks |zeta - z_k| <= r_k are pairwise apart by more
+    than (1 + DISK_SLACK) (r_i + r_j).  In real-part order only pairs k
+    apart whose real parts differ by at most 2 max r can meet, for
+    k = 1, 2, ... up to the first k without one."""
+    reach = (1 + DISK_SLACK) * r
+    if not (np.isfinite(z).all() and np.isfinite(reach).all()):
+        return False
+    order = np.argsort(z.real, kind="stable")
+    z, reach = z[order], reach[order]
+    for k in range(1, len(z)):
+        i = np.flatnonzero(z.real[k:] - z.real[:-k] <= 2 * reach.max())
+        if not i.size:
+            break
+        if not (np.abs(z[i + k] - z[i]) > reach[i] + reach[i + k]).all():
+            return False
+    return True
+
+
+def _root_multisets(named):
+    """Distinct roots with exact multiplicities of each (name, integer
+    coefficients) pair, for n = 1 and both eliminants at n = 2.
+
+    Aberth runs on the primitive polynomial (`roots_univariate`), whose
+    exact zero roots merge into one.  If every root converged and the
+    inclusion disks of the others (`_inclusion_radii`) are pairwise
+    disjoint, each disk holds exactly one root: all are simple.  The rest
+    take one batched `roots_structure`, with a warning: proven
+    square-free, a polynomial keeps its roots; split by Yun, it is solved
+    factor by factor.
+
+    Returns ([(roots, multiplicities, residuals)] per polynomial, Aberth
+    sweeps, isolation radius, warnings).  A residual is |p(z)| / ||a||_1
+    on the root's side of the unit circle; the isolation radius is the
+    largest disk radius relative to max(1, |z|), or None unless the disks
+    proved every polynomial.
+    """
+    found, failed, sweeps, radius, warnings = [], [], 0, 0.0, []
+    for name, coeffs in named:
+        prim = poly_primitive(coeffs)
+        res = roots_univariate(prim)
+        nzero = next(i for i, c in enumerate(prim) if c)
+        zero = res.roots == 0
+        keep = ~zero
+        keep[np.flatnonzero(zero)[:1]] = True
+        roots, mults = res.roots[keep], np.where(zero, nzero, 1)[keep]
+        scaled = scaled_float_coeffs(prim[nzero:])
+        r, p = _inclusion_radii(scaled, roots)
+        sweeps += res.sweeps
+        if res.converged.all() and zero.sum() == nzero and _disjoint(roots, r):
+            radius = max(radius, float(np.max(r / np.maximum(np.abs(roots), 1.0))))
+        else:
+            failed.append(len(found))
+            warnings.append(
+                f"the inclusion disks of {name} did not isolate its roots: "
+                "multiplicities from its exact square-free structure"
+            )
+        found.append([roots, mults, p, res.converged, name, prim, scaled])
+    structures = roots_structure(*(found[k][5] for k in failed)) if failed else []
+    for k, structure in zip(failed, structures):
+        if structure == [(found[k][5], 1)]:
+            continue  # proven square-free: the roots stay
+        runs = [roots_univariate(f) for f, _ in structure]
+        sweeps += sum(res.sweeps for res in runs)
+        roots = np.concatenate([res.roots for res in runs])
+        mults = np.repeat([m for _, m in structure], [len(res.roots) for res in runs])
+        converged = np.concatenate([res.converged for res in runs])
+        found[k][:4] = roots, mults, _inclusion_radii(found[k][6], roots)[1], converged
+    out = []
+    for roots, mults, p, converged, name, _, scaled in found:
+        if not converged.all():
+            warnings.append(f"{int((~converged).sum())} roots of {name} unconverged")
+        out.append((roots, mults, np.abs(p) / np.abs(scaled).sum()))
+    return out, sweeps, None if failed else radius, warnings
+
+
+# ---------------------------------------------------------------------------
 # zero cycles
 
 
@@ -335,55 +456,12 @@ class ZeroCycle:
         return out
 
 
-def cluster_values(values, mults, radius=CLUSTER_RADIUS):
-    """Merge complex values closer than radius*max(1,|.|); keeps total mult.
-
-    Union-find over a sliding real-part window; representatives are
-    multiplicity-weighted centroids, output sorted by (re, im).
-    """
-    n = len(values)
-    if n == 0:
-        return []
-    vals = np.asarray(values, dtype=complex)
-    ms = list(mults)
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    ms = [ms[i] for i in order]
-    window = radius * max(1.0, float(np.max(np.abs(vals))))
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        j = i + 1
-        while j < n and vals[j].real - vals[i].real <= window:
-            if abs(vals[i] - vals[j]) <= radius * max(
-                1.0, abs(vals[i]), abs(vals[j])
-            ):
-                parent[find(j)] = find(i)
-            j += 1
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    merged = []
-    for idxs in groups.values():
-        total = sum(ms[i] for i in idxs)
-        center = sum(vals[i] * ms[i] for i in idxs) / total
-        merged.append((complex(center), total))
-    merged.sort(key=lambda t: (t[0].real, t[0].imag))
-    return merged
-
-
 @dataclass(frozen=True)
 class SolveDiagnostics:
     eliminant_degree: int
     iterations: int
     max_residual: float
-    clustering_radius: float | None  # None where nothing is clustered
+    isolation_radius: float | None  # None where the disks proved nothing
     residual_threshold: float
     count_expected: int
     count_found: int
@@ -429,58 +507,31 @@ def _scaled_residuals(columns, sups, x: np.ndarray, y: np.ndarray) -> np.ndarray
 
 
 def solve_univariate_cycle(f: IntPolynomial):
-    """ZeroCycle of a one-variable polynomial plus diagnostics."""
+    """ZeroCycle of a one-variable polynomial plus diagnostics: its
+    distinct roots with exact multiplicities and scaled residuals
+    (`_root_multisets`)."""
     if f.nvars != 1:
         raise SolverError("expected a univariate polynomial")
     coeffs = [0] * (f.degree + 1)
     for (e,), c in f.terms:
         coeffs[e] = c
-    res = roots_univariate(coeffs)
-    deg = f.degree
-    scaled = scaled_float_coeffs(coeffs)
-    norm1 = float(np.sum(np.abs(scaled)))  # scale-free with the values below
-    clustered = cluster_values(list(res.roots), [1] * len(res.roots))
-    zs = np.array([z for z, _ in clustered], dtype=complex)
-    # |f(z)| / (norm * max(1,|z|)^deg): for |z| > 1 this equals
-    # |rev(f)(1/z)| / norm, which never overflows
-    _, _, vals, _ = _eval_one_side(scaled[None, :], zs[None, :])
-    resid = np.abs(vals[0]) / norm1
+    [(roots, mults, resid)], sweeps, radius, warnings = _root_multisets([("f", coeffs)])
     pts = [
-        CyclePoint(coords=(z,), mult=m, residual=float(r))
-        for (z, m), r in zip(clustered, resid)
+        CyclePoint((complex(roots[i]),), int(mults[i]), float(resid[i]))
+        for i in np.lexsort((roots.imag, roots.real))
     ]
-    worst = float(np.max(resid, initial=0.0))
     cycle = ZeroCycle(dim=1, points=tuple(pts), residual_threshold=RESIDUAL_TOL)
     diag = SolveDiagnostics(
-        eliminant_degree=deg,
-        iterations=res.sweeps,
-        max_residual=worst,
-        clustering_radius=CLUSTER_RADIUS,
+        eliminant_degree=f.degree,
+        iterations=sweeps,
+        max_residual=float(np.max(resid, initial=0.0)),
+        isolation_radius=radius,
         residual_threshold=RESIDUAL_TOL,
-        count_expected=deg,
+        count_expected=f.degree,
         count_found=cycle.degree,
-        warnings=tuple(
-            f"root {i} unconverged" for i in np.nonzero(~res.converged)[0]
-        ),
+        warnings=tuple(warnings),
     )
     return cycle, diag
-
-
-def _eliminant_roots(structure, warnings):
-    """(distinct roots, multiplicities, Aberth sweeps) of an eliminant
-    from its exact square-free structure (`roots_structure`), so Aberth
-    only ever sees simple roots."""
-    roots, mults, sweeps = [], [], 0
-    for factor, mult in structure:
-        res = roots_univariate(factor)
-        sweeps += res.sweeps
-        if not res.converged.all():
-            warnings.append(
-                f"{int((~res.converged).sum())} eliminant roots unconverged"
-            )
-        roots.extend(res.roots)
-        mults.extend([mult] * len(res.roots))
-    return np.array(roots, dtype=complex), np.array(mults, dtype=int), sweeps
 
 
 def _dense_coeffs(f: IntPolynomial) -> np.ndarray:
@@ -603,8 +654,9 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
 
     Desk scale: total degrees up to ~16 per input (eliminant degree 256).
     At d = 4 to 12 the eliminants, taken modulo word-size primes, are
-    about a quarter to a third of a solve, their square-free certificate
-    an eighth, Aberth 30-40% and the pairing the rest.
+    about a quarter to a third of a solve, Aberth 35-45%, the inclusion
+    disks about 5% and the pairing the rest; the square-free certificate
+    runs on the few eliminants whose disks touch.
     """
     ry = eliminant_bivariate(f1, f2, "x")  # polynomial in y
     rx = eliminant_bivariate(f1, f2, "y")  # polynomial in x
@@ -616,17 +668,16 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
             eliminant_degree=0,
             iterations=0,
             max_residual=0.0,
-            clustering_radius=None,
+            isolation_radius=None,
             residual_threshold=RESIDUAL_TOL,
             count_expected=expected,
             count_found=0,
         )
         return ZeroCycle(2, (), RESIDUAL_TOL), diag
 
-    warnings = []
-    ystructure, xstructure = roots_structure(ry, rx)
-    ys, ymults, ysweeps = _eliminant_roots(ystructure, warnings)
-    xs, xmults, xsweeps = _eliminant_roots(xstructure, warnings)
+    ((ys, ymults, _), (xs, xmults, _)), sweeps, radius, warnings = _root_multisets(
+        [("Res_x", ry), ("Res_y", rx)]
+    )
     sups = [float(sup_norm_upper(f1)), float(sup_norm_upper(f2))]
     dense = [_dense_coeffs(f1), _dense_coeffs(f2)]
     pairs, cap = _greedy_pairs(_pair_scores(dense, sups, xs, ys), ymults, xmults)
@@ -650,9 +701,9 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
     cycle = ZeroCycle(dim=2, points=tuple(points), residual_threshold=RESIDUAL_TOL)
     diag = SolveDiagnostics(
         eliminant_degree=len(ry) - 1,
-        iterations=ysweeps + xsweeps,
+        iterations=sweeps,
         max_residual=max((p.residual for p in points), default=0.0),
-        clustering_radius=None,
+        isolation_radius=radius,
         residual_threshold=RESIDUAL_TOL,
         count_expected=expected,
         count_found=cycle.degree,

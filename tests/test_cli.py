@@ -5,7 +5,7 @@ import pytest
 
 from polytorus.cli import main
 from polytorus.experiment import run_trial
-from polytorus.solver import CLUSTER_RADIUS, RESIDUAL_TOL
+from polytorus.solver import RESIDUAL_TOL
 
 
 def test_sample_writes_system(tmp_path, capsys):
@@ -39,7 +39,7 @@ def test_solve_outputs_cycle(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["n"] == 1
     assert obj["diagnostics"]["count_found"] == 12
-    assert obj["diagnostics"]["clustering_radius"] == CLUSTER_RADIUS
+    assert 0 < obj["diagnostics"]["isolation_radius"] < 1e-6  # the disks proved all 12
 
 
 def test_solve_bivariate_system_file_diagnostics(tmp_path, capsys):
@@ -53,7 +53,7 @@ def test_solve_bivariate_system_file_diagnostics(tmp_path, capsys):
     assert rc == 0
     obj = json.loads(capsys.readouterr().out)
     diag = obj["diagnostics"]
-    assert diag["clustering_radius"] is None  # the pairing clusters nothing
+    assert 0 < diag["isolation_radius"] < 1e-6  # both eliminants isolated by the disks
     assert diag["eliminant_degree"] == diag["count_expected"] == 4
     assert diag["count_found"] == 4
     assert diag["dropped"] == diag["cross_check_mismatches"] == 0

@@ -21,7 +21,6 @@ from polytorus.discrepancy import (
     box_count,
     discrepancy_bounds,
     erdos_turan_size,
-    eta_upper_bound,
     radius_discrepancy,
 )
 from polytorus.lattice import convex_hull
@@ -541,11 +540,11 @@ def test_eta_infinite_marker():
 def test_eta_upper_bound_formula():
     d = 4
     s = sample_bernoulli_system(2, d, 3, 0)
-    got = eta_upper_bound(s)
+    got = erdos_turan_size(s).eta_upper
     want = (1 / 16) * (4 * (2 + math.sqrt(2)) * 2 * math.log(15))
     assert got == pytest.approx(want, rel=1e-12)
     f = sample_bernoulli_system(1, 10, 3, 0).polys[0]
-    got1 = eta_upper_bound((f,))
+    got1 = erdos_turan_size((f,)).eta_upper
     assert got1 == pytest.approx(2 * math.log(sup_norm_upper(f)) / 10, rel=1e-12)
 
 

@@ -5,12 +5,13 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytorus import solver
+from polytorus import resultants, solver
 from polytorus.lattice import convex_hull, mixed_volume
 from polytorus.polynomials import (
     IntPolynomial,
@@ -25,7 +26,6 @@ from polytorus.resultants import (
 from polytorus.solver import (
     NonIsolatedError,
     SolverError,
-    cluster_values,
     roots_univariate,
     solve_bivariate,
     solve_univariate_cycle,
@@ -178,20 +178,6 @@ def test_floor_stop_keeps_well_conditioned_roots(monkeypatch):
     )
     tol_only = roots_univariate(coeffs)
     assert np.max(np.abs(res.roots - tol_only.roots)) <= 1e-13
-
-
-def test_cluster_values_merges_and_keeps_mass():
-    vals = [1.0 + 0j, 1.0 + 1e-9j, 2.0 + 0j, 2.0 + 1e-9j, 5.0 + 0j]
-    merged = cluster_values(vals, [1] * 5, radius=1e-7)
-    assert sum(m for _, m in merged) == 5
-    assert len(merged) == 3
-
-
-def test_cluster_values_nonadjacent_under_real_sort():
-    # equal real parts with interleaved imaginary parts still merge
-    vals = [0.0 - 0.1j, 0.0 + 0.1j, 1e-9 - 0.1j]
-    merged = cluster_values(vals, [1, 1, 1], radius=1e-7)
-    assert len(merged) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +769,23 @@ def test_degenerate_eigenvalue_starts_take_the_circle(case):
     assert np.array_equal(solver._start_points(coeffs), _circle_start(coeffs))
 
 
+@pytest.mark.parametrize(
+    "k, lead", [(200, 1), (320, 10**320)], ids=["1+1e200z+z^2", "1e-320+z+z^2"]
+)
+def test_single_zero_eigenvalue_start_keeps_tiny_roots(k, lead):
+    # 1 + 10^200 z + z^2 and 10^-320 + z + z^2 (times 10^320): one
+    # companion eigenvalue is an exact zero.  Aberth evaluates p(0) = a_0
+    # there and finds the tiny root in one sweep; from the circle, the
+    # absolute stopping rule flagged it converged far away (1.5e-70i for
+    # -10^-200, 0 for -10^-320).  -10^-320 is subnormal: a double holds it
+    # only to within 2^-1074.  The tiny root is -10^-k (1 + O(10^-k))
+    res = roots_univariate([1, 10**k, lead])
+    assert res.converged.all() and res.sweeps == 1
+    exact = -(10.0**-k)
+    tiny = min(res.roots, key=abs)
+    assert abs(tiny - exact) <= 1e-13 * abs(exact) + 2.0**-1074
+
+
 def _eliminant_factor(d, trial, axis):
     s = sample_bernoulli_system(2, d, 1, trial)
     (((factor, _), *_),) = roots_structure(eliminant_bivariate(*s.polys, axis))
@@ -946,3 +949,144 @@ def test_univariate_residuals_match_scalar_horner():
             val = val * (z if abs(z) <= 1.0 else 1.0 / z) + c
         assert abs(p.residual - abs(val) / norm1) <= 1e-15
     assert diag.max_residual == max(p.residual for p in cycle.points)
+
+
+# ---------------------------------------------------------------------------
+# distinct roots with exact multiplicities
+
+
+def _eliminant(d, trial, axis):
+    return eliminant_bivariate(*sample_bernoulli_system(2, d, 1, trial).polys, axis)
+
+
+def test_repeated_root_takes_yun_factors():
+    # 1 - z - z^2 + z^3 = (1 - z)^2 (1 + z): Aberth's two roots near 1
+    # fail the disks, the certificate fails, and Yun's linear factors give
+    # both roots exactly
+    f = poly(1, {(0,): 1, (1,): -1, (2,): -1, (3,): 1})
+    cycle, diag = solve_univariate_cycle(f)
+    assert [(p.coords, p.mult) for p in cycle.points] == [((-1,), 1), ((1,), 2)]
+    assert diag.count_found == 3 and diag.isolation_radius is None
+    assert any("did not isolate" in w for w in diag.warnings)
+
+
+def test_touching_disks_take_the_certificate_not_yun(monkeypatch):
+    # seed 1, d = 12, trial 4: Res_y is square-free, but its rigorous
+    # disks touch; the certificate proves it, so the roots Aberth found
+    # stay and Yun, which took seconds on it, never runs
+    ry = _eliminant(12, 4, "y")
+    res = roots_univariate(ry)
+    scaled = solver.scaled_float_coeffs(ry)
+    assert res.converged.all()
+    radii, _ = solver._inclusion_radii(scaled, res.roots)
+    assert not solver._disjoint(res.roots, radii)
+
+    def no_yun(p):
+        raise AssertionError("Yun ran")
+
+    monkeypatch.setattr(resultants, "squarefree_decomposition", no_yun)
+    [(roots, mults, _)], sweeps, radius, warns = solver._root_multisets([("Res_y", ry)])
+    assert np.array_equal(roots, res.roots)
+    assert (mults == 1).all() and sweeps == res.sweeps
+    assert radius is None and len(warns) == 1
+
+
+def test_split_eliminant_is_solved_factor_by_factor():
+    # seed 1, d = 4, trial 0: Res_x has a double factor; the disks catch
+    # it and Yun returns a degree-14 simple factor and a linear double one
+    rx = _eliminant(4, 0, "x")
+    assert [(len(f) - 1, m) for f, m in roots_structure(rx)[0]] == [(14, 1), (1, 2)]
+    [(_, mults, _)], sweeps, radius, _ = solver._root_multisets([("Res_x", rx)])
+    assert sorted(mults.tolist()) == [1] * 14 + [2]
+    assert radius is None
+    whole = roots_univariate(resultants.poly_primitive(rx)).sweeps
+    parts = sum(roots_univariate(f).sweeps for f, _ in roots_structure(rx)[0])
+    assert sweeps == whole + parts
+
+
+def _true_roots(coeffs):
+    """All roots of an integer polynomial to 50 digits: mpmath's
+    Durand-Kerner from numpy's companion eigenvalues."""
+    start = np.roots(solver.scaled_float_coeffs(coeffs)[::-1])
+    with mpmath.workdps(50):
+        roots, err = mpmath.polyroots(
+            coeffs[::-1], maxsteps=100, error=True,
+            roots_init=[mpmath.mpc(complex(z)) for z in start],
+        )
+    assert err < 1e-40
+    return roots
+
+
+def _product(*factors):
+    out = [1]
+    for f in factors:
+        out = [
+            sum(out[i] * f[k - i] for i in range(len(out)) if 0 <= k - i < len(f))
+            for k in range(len(out) + len(f) - 1)
+        ]
+    return out
+
+
+# roots 1, -2, 10^6 and +-10^5 i: far outside the unit circle the radius
+# is taken on the reversed polynomial
+_FAR_ROOTS = _product([-1, 1], [2, 1], [-(10**6), 1], [10**10, 0, 1])
+
+
+@pytest.mark.parametrize("case", ["far roots", "n=1 d=30"])
+def test_inclusion_radius_bounds_the_exact_newton_radius(case):
+    # at any point, roots or not, r >= deg |p(z) / p'(z)| in exact arithmetic
+    coeffs = _FAR_ROOTS if case == "far roots" else [
+        sample_bernoulli_system(1, 30, 4, 0).polys[0].coeff((k,)) for k in range(31)
+    ]
+    rng = np.random.default_rng(5)
+    z = 10.0 ** rng.uniform(-3, 7, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
+    z = np.concatenate([z, roots_univariate(coeffs).roots])
+    radii, _ = solver._inclusion_radii(solver.scaled_float_coeffs(coeffs), z)
+    deg = len(coeffs) - 1
+    with mpmath.workdps(60):
+        for zk, r in zip(z, radii):
+            at = mpmath.mpc(complex(zk))
+            p = mpmath.polyval(coeffs[::-1], at, derivative=True)
+            assert r >= deg * abs(p[0] / p[1])
+
+
+def _assert_one_root_per_disk(coeffs, roots):
+    radii, _ = solver._inclusion_radii(solver.scaled_float_coeffs(coeffs), roots)
+    truth = _true_roots(coeffs)
+    with mpmath.workdps(50):
+        inside = [
+            [abs(t - mpmath.mpc(complex(z))) <= r for z, r in zip(roots, radii)]
+            for t in truth
+        ]
+    assert all(sum(row) == 1 for row in inside)  # each true root in one disk
+    assert all(sum(col) == 1 for col in zip(*inside))  # each disk holds one
+
+
+def test_inclusion_disks_hold_one_true_root_each():
+    """Every root that the disks prove simple has exactly one true root in
+    its disk, on every eliminant of a small n = 2 suite and at n = 1, d = 100;
+    a polynomial they do not prove carries a warning and the exact
+    multiplicities of its square-free decomposition.  Roots far outside
+    the unit circle test the radius taken on the reversed polynomial."""
+    f = sample_bernoulli_system(1, 100, 1, 0).polys[0]
+    n1 = [f.coeff((k,)) for k in range(101)]
+    named = [("n1", n1), ("far roots", _FAR_ROOTS)]
+    for d, trial in [(4, t) for t in range(6)] + [(6, t) for t in range(2)]:
+        s = sample_bernoulli_system(2, d, 1, trial)
+        if not classify_exceptional(s).exceptional:
+            for axis in "xy":
+                res = eliminant_bivariate(*s.polys, axis)
+                named.append((f"d{d} trial {trial} Res_{axis}", res))
+    proven = 0
+    for name, coeffs in named:
+        [(roots, mults, _)], _, radius, warns = solver._root_multisets([(name, coeffs)])
+        prim = resultants.poly_primitive(coeffs)
+        if radius is None:
+            assert any(name in w for w in warns)
+            exact = resultants.squarefree_decomposition(prim)
+            assert sorted(mults.tolist()) == sorted(m for f, m in exact for _ in f[1:])
+            continue
+        proven += 1
+        assert (mults == 1).all() and len(roots) == len(prim) - 1
+        _assert_one_root_per_disk(prim, roots)
+    assert proven >= len(named) - 1  # d = 4, trial 0 has a double factor
