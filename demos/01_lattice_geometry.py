@@ -9,13 +9,13 @@ everything else in the package.
 from fractions import Fraction
 
 from polytorus import (
+    IntPolynomial,
     convex_hull,
-    face,
+    directed_polynomial,
     facet_normals,
     minkowski_sum,
     mixed_volume,
     simplex_points,
-    support_value,
     volume,
 )
 
@@ -44,14 +44,15 @@ print(
     volume(summed), "-", volume(triangle), "-", volume(segment),
 )
 
-# Faces and inward facet normals (min convention for the support
-# function).  The simplex has n+1 facets; the interesting one for random
-# systems is the hypotenuse with normal (-1, -1).
+# Inward facet normals: the facet with normal v is where <q, v> is least.
+# The simplex has n+1 facets; the interesting one for random systems is
+# the hypotenuse with normal (-1, -1).  Restricting the full polynomial
+# to a facet leaves one term per lattice point on it.
+full = IntPolynomial.from_dict(2, {p: 1 for p in simplex_points(2, d)})
 print("\nfacet normals of 3*Sigma_2:", facet_normals(simplex))
 for v in facet_normals(simplex):
-    f = face(simplex, v)
-    print(f"  v={v}: support value {support_value(simplex, v)}, "
-          f"{len(f.points)} lattice points on the face")
+    g, _ = directed_polynomial(full, v)
+    print(f"  v={v}: {len(g.terms)} lattice points on the facet")
 
 # Everything stays rational.  A degenerate (flat) hull keeps only its two
 # end points and has area 0, yet two flat hulls that are not parallel

@@ -13,10 +13,10 @@ from collections import Counter
 from polytorus import (
     IntPolynomial,
     classify_exceptional,
-    directional_resultant,
     enumerate_d1,
     sample_bernoulli_system,
 )
+from polytorus.resultants import system_facet_normals
 
 # Reproducible sampling: the coefficient signs are a pure function of
 # (seed, trial, polynomial index, exponent rank).
@@ -29,9 +29,9 @@ for entry in report.entries:
     print(f"  directional resultant at v={entry.normal}: {entry.value}")
 print("  zero-coordinate flags:", report.zero_coordinate_flags)
 
-# Directions that are not facet normals of the Minkowski sum of the
-# supports carry the trivial resultant 1.
-print("non-facet direction (1,1):", directional_resultant(system, (1, 1)))
+# Only the facet normals of the Minkowski sum of the supports carry a
+# directional resultant; any other direction has the trivial Res_v = 1.
+print("(1,1) is a facet normal:", (1, 1) in system_facet_normals(system.polys))
 
 # A handmade degenerate pair: two parallel lines.  The directed
 # polynomials on the hypotenuse face coincide, so their resultant is 0.

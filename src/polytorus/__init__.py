@@ -27,15 +27,12 @@ from .experiment import (
     run_trial,
 )
 from .lattice import (
-    Face,
     LatticePolytope,
     convex_hull,
-    face,
     facet_normals,
     minkowski_sum,
     mixed_volume,
     simplex_points,
-    support_value,
     volume,
 )
 from .polynomials import (
@@ -51,7 +48,6 @@ from .polynomials import (
 from .resultants import (
     DirectionalReport,
     classify_exceptional,
-    directional_resultant,
     eliminant_bivariate,
     resultant_univariate,
 )

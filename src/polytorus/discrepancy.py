@@ -40,7 +40,7 @@ import numpy as np
 
 from .lattice import mixed_volume
 from .polynomials import sup_norm_upper
-from .resultants import DirectionalReport, classify_exceptional
+from .resultants import DirectionalReport, _system_polys, classify_exceptional
 from .solver import ZeroCycle
 
 
@@ -286,7 +286,7 @@ def erdos_turan_size(
     maximized in closed form (`_eta_sup_2d`).  The only over-estimate is
     the sup norm, taken as sum |a_J|.
     """
-    polys = tuple(system.polys) if hasattr(system, "polys") else tuple(system)
+    polys = _system_polys(system)
     n = polys[0].nvars
     if n not in (1, 2):
         raise DiscrepancyError("eta implemented for n in {1, 2}")

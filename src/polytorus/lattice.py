@@ -9,8 +9,8 @@ formula
     MV_n(Q_1, ..., Q_n) = sum_{S nonempty subset of {1..n}}
                           (-1)^(n - |S|) Vol_n(sum_{i in S} Q_i).
 
-Support functions use the min convention, s_Q(v) = min_{q in Q} <q, v>,
-so facet normals returned by this module point inward.
+Facet normals point inward: the facet with normal v is where <q, v>
+takes its minimum over the polytope.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ Vec = tuple  # integer coordinate tuples
 
 class GeometryError(ValueError):
     """Invalid geometric input (empty set, mixed dimensions, zero vector...)."""
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def primitive_vector(v: Vec) -> Vec:
@@ -54,61 +50,22 @@ def _check_points(points):
     return n, sorted(set(pts))
 
 
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of an integer point set."""
-    pts = [tuple(p) for p in points]
-    base = pts[0]
-    vecs = [tuple(c - b for c, b in zip(p, base)) for p in pts[1:]]
-    # integer Gaussian elimination, dimension <= 2 so this stays tiny
-    rank = 0
-    rows = [list(v) for v in vecs if any(v)]
-    ncols = len(base)
-    col = 0
-    while rows and col < ncols:
-        pivot = next((r for r in rows if r[col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rank += 1
-        rows.remove(pivot)
-        rows = [
-            [pivot[col] * r[j] - r[col] * pivot[j] for j in range(ncols)]
-            for r in rows
-        ]
-        rows = [r for r in rows if any(r)]
-        col += 1
-    return rank
-
-
-@dataclass(frozen=True)
-class Face:
-    """Face of a polytope in a given inward direction.
-
-    normal is primitive; every generator q of the parent satisfies
-    <q, normal> >= support_value with equality exactly on `points`.
-    """
-
-    normal: Vec
-    support_value: int
-    points: tuple
-
-
 @dataclass(frozen=True)
 class LatticePolytope:
     """Convex hull of finitely many integer points.
 
-    `points` are the (deduplicated, sorted) generators given at
-    construction; `vertices` is the exact vertex set of their hull.
-    Instances are immutable and safe to share across threads.
+    `vertices` is the exact, sorted vertex set of the hull.  Instances are
+    immutable and safe to share across threads.
     """
 
     dim: int
-    points: tuple
     vertices: tuple
 
-    @cached_property
+    @property
     def rank(self) -> int:
-        return affine_rank(self.vertices)
+        """Dimension of the affine hull: a hull keeps strict turns only, so
+        one point has 1 vertex and a segment 2."""
+        return min(len(self.vertices) - 1, self.dim)
 
     @cached_property
     def cycle(self) -> tuple:
@@ -157,7 +114,7 @@ def convex_hull(points) -> LatticePolytope:
         verts = sorted({pts[0], pts[-1]})
     else:
         verts = sorted(_hull2_cycle(pts))
-    return LatticePolytope(n, tuple(pts), tuple(verts))
+    return LatticePolytope(n, tuple(verts))
 
 
 @lru_cache(maxsize=256)
@@ -218,26 +175,7 @@ def mixed_volume(qs) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# support machinery
-
-
-def support_value(p: LatticePolytope, v) -> int:
-    """min over the polytope of <q, v> (attained at a vertex)."""
-    v = tuple(int(c) for c in v)
-    if len(v) != p.dim:
-        raise GeometryError("direction dimension mismatch")
-    if all(c == 0 for c in v):
-        raise GeometryError("support direction must be nonzero")
-    return min(_dot(q, v) for q in p.vertices)
-
-
-def face(p: LatticePolytope, v) -> Face:
-    """Generators achieving the minimum of <., v>; normal stored primitive."""
-    v = tuple(int(c) for c in v)
-    s = support_value(p, v)
-    pts = tuple(q for q in p.points if _dot(q, v) == s)
-    prim = primitive_vector(v)
-    return Face(normal=prim, support_value=min(_dot(q, prim) for q in pts), points=pts)
+# facets
 
 
 def facet_normals(p: LatticePolytope):

@@ -30,21 +30,14 @@ class IntPolynomial:
     """Multivariate polynomial with exact integer coefficients.
 
     terms: sorted tuple of (exponent tuple, coefficient), coefficients
-    nonzero, exponents componentwise >= 0.  `offset` records a Laurent
-    translation: the represented monomial for stored exponent J is
-    x^(J + offset).  Offsets stay out of supports and norms.
+    nonzero, exponents componentwise >= 0.
     """
 
     nvars: int
     terms: tuple
-    offset: tuple = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.offset is None:
-            object.__setattr__(self, "offset", (0,) * self.nvars)
 
     @classmethod
-    def from_dict(cls, nvars: int, coeffs: dict, offset=None) -> "IntPolynomial":
+    def from_dict(cls, nvars: int, coeffs: dict) -> "IntPolynomial":
         terms = []
         for exp, c in coeffs.items():
             exp = tuple(int(e) for e in exp)
@@ -52,12 +45,11 @@ class IntPolynomial:
             if len(exp) != nvars:
                 raise PolynomialError("exponent arity does not match nvars")
             if any(e < 0 for e in exp):
-                raise PolynomialError("negative exponents go in offset, not terms")
+                raise PolynomialError("exponents must be nonnegative")
             if c != 0:
                 terms.append((exp, c))
         terms.sort()
-        off = tuple(int(o) for o in offset) if offset is not None else (0,) * nvars
-        return cls(nvars, tuple(terms), off)
+        return cls(nvars, tuple(terms))
 
     @cached_property
     def coeff_map(self) -> dict:
@@ -96,7 +88,7 @@ def _support_hull(points: tuple):
 
 
 def support(f: IntPolynomial):
-    """Exponent tuples of the nonzero terms (offset excluded)."""
+    """Exponent tuples of the nonzero terms."""
     if f.is_zero:
         raise PolynomialError("the zero polynomial has no support")
     return tuple(e for e, _ in f.terms)
@@ -109,10 +101,9 @@ def directed_polynomial(f: IntPolynomial, v):
     face point, which for full supports reproduces the translations 0 for
     coordinate directions and (d,0,...,0) for the all-negative direction)
     and g is the face polynomial re-expressed in integer coordinates of
-    the hyperplane orthogonal to v, with exponents normalized to start at
-    0 (any remaining shift is recorded in g.offset).  For v = e_m the
-    coordinate m is dropped; for v = -(1,...,1) the coordinates are
-    y_i = x_{i+1}/x_1.
+    the hyperplane orthogonal to v, with exponents shifted to start at 0.
+    For v = e_m the coordinate m is dropped; for v = -(1,...,1) the
+    coordinates are y_i = x_{i+1}/x_1.
     """
     if f.is_zero:
         raise PolynomialError("directed polynomial of the zero polynomial")
@@ -148,7 +139,7 @@ def directed_polynomial(f: IntPolynomial, v):
     mins = coords.min(axis=0)
     exps = map(tuple, (coords - mins).tolist())
     terms = sorted(zip(exps, (f.terms[i][1] for i in face)))
-    return IntPolynomial(n - 1, tuple(terms), tuple(mins.tolist())), b
+    return IntPolynomial(n - 1, tuple(terms)), b
 
 
 def univariate_coeffs(f: IntPolynomial):

@@ -27,11 +27,11 @@ touch, is certified by the same remainder sequence modulo 2^31 - 1,
 polynomials of one degree as columns of one run; a "maybe" falls back to
 exact Yun decomposition.
 
-On top of these sit the directional resultants of a system (faces of the
-supports translated into the orthogonal lattice line) and the
-exceptional-set classifier: a system is exceptional when a facet
-directional resultant vanishes or when it has a common zero with some
-vanishing coordinate.
+On top of these sits the exceptional-set classifier.  At each facet
+normal of the Minkowski sum of the supports it takes the directional
+resultant (faces of the supports translated into the orthogonal lattice
+line); a system is exceptional when one of these vanishes or when it has
+a common zero with some vanishing coordinate.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import facet_normals, minkowski_sum, primitive_vector
+from .lattice import facet_normals, minkowski_sum
 from .polynomials import (
     BernoulliSystem,
     IntPolynomial,
@@ -712,37 +712,6 @@ def system_facet_normals(polys):
     return facet_normals(acc)
 
 
-def directional_resultant(system, v) -> int:
-    """Exact directional resultant of the system at direction v.
-
-    n=1: the face coefficient (constant term for v=+1, leading for v=-1).
-    n=2: the Sylvester resultant of the two directed univariate
-    polynomials after face translation.  Directions that are not facet
-    normals of the Minkowski sum of the supports give 1.
-    """
-    polys = _system_polys(system)
-    n = polys[0].nvars
-    if n not in (1, 2):
-        raise UnsupportedDimensionError(
-            f"exact directional resultants implemented for n in {{1, 2}}, got n={n}"
-        )
-    v = tuple(int(c) for c in v)
-    if n == 1:
-        exps = [e for (e,), _ in polys[0].terms]
-        if min(exps) == max(exps):
-            return 1  # single monomial, no facets
-        if v == (1,):
-            return polys[0].coeff((min(exps),))
-        if v == (-1,):
-            return polys[0].coeff((max(exps),))
-        raise ResultantError(f"direction {v} is not primitive")
-    if primitive_vector(v) != v:
-        raise ResultantError(f"direction {v} is not primitive")
-    if v not in system_facet_normals(polys):
-        return 1
-    return _facet_resultant(polys, v)
-
-
 def _facet_resultant(polys, v) -> int:
     """Resultant of the two directed polynomials at a facet normal v (n=2)."""
     g1, _ = directed_polynomial(polys[0], v)
@@ -788,15 +757,8 @@ def _common_root_on_axis(polys, axis: int) -> bool:
     """Does the system restricted to x_axis = 0 have a common zero?"""
     r1 = restrict_to_zero(polys[0], axis)
     r2 = restrict_to_zero(polys[1], axis)
-    z1, z2 = not r1, not r2
-    if z1 and z2:
+    if not r1 and not r2:
         return True
-    if z1:
-        return degree(r2) >= 1  # any root of the other polynomial works
-    if z2:
-        return degree(r1) >= 1
-    if degree(r1) == 0 or degree(r2) == 0:
-        return False  # a nonzero constant never vanishes
     return resultant_univariate(r1, r2) == 0
 
 

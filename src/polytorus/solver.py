@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import mixed_volume
-from .polynomials import IntPolynomial, sup_norm_upper
+from .polynomials import IntPolynomial, sup_norm_upper, univariate_coeffs
 from .resultants import eliminant_bivariate, poly_primitive, roots_structure, trim
 
 
@@ -512,9 +512,7 @@ def solve_univariate_cycle(f: IntPolynomial):
     (`_root_multisets`)."""
     if f.nvars != 1:
         raise SolverError("expected a univariate polynomial")
-    coeffs = [0] * (f.degree + 1)
-    for (e,), c in f.terms:
-        coeffs[e] = c
+    coeffs = univariate_coeffs(f)
     [(roots, mults, resid)], sweeps, radius, warnings = _root_multisets([("f", coeffs)])
     pts = [
         CyclePoint((complex(roots[i]),), int(mults[i]), float(resid[i]))

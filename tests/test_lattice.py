@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from polytorus.lattice import (
     GeometryError,
     convex_hull,
-    face,
     facet_normals,
     minkowski_sum,
     mixed_volume,
     simplex_points,
-    support_value,
     volume,
 )
 
@@ -24,7 +22,7 @@ def standard_simplex(n, d):
 
 
 def translate(q, b):
-    return convex_hull([tuple(c + o for c, o in zip(p, b)) for p in q.points])
+    return convex_hull([tuple(c + o for c, o in zip(p, b)) for p in q.vertices])
 
 
 def test_hull_simplex_generators():
@@ -93,37 +91,6 @@ def test_mixed_volume_count_error():
     s = standard_simplex(2, 1)
     with pytest.raises(GeometryError):
         mixed_volume([s])
-
-
-def test_support_value_examples():
-    s = standard_simplex(2, 1)
-    assert support_value(s, (1, 0)) == 0
-    assert support_value(s, (-1, -1)) == -1
-    pt = convex_hull([(5, 5)])
-    assert support_value(pt, (2, 3)) == 25
-    with pytest.raises(GeometryError):
-        support_value(s, (0, 0))
-
-
-def test_face_examples():
-    d = 4
-    s = standard_simplex(2, d)
-    f = face(s, (1, 0))
-    assert set(f.points) == {(0, t) for t in range(d + 1)}
-    f2 = face(s, (-1, -1))
-    assert set(f2.points) == {(j, d - j) for j in range(d + 1)}
-    sq = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-    f3 = face(sq, (1, 1))
-    assert set(f3.points) == {(0, 0)}
-
-
-def test_face_normal_is_primitive():
-    s = standard_simplex(2, 3)
-    f = face(s, (2, 2))
-    assert f.normal == (1, 1)
-    assert all(
-        sum(a * b for a, b in zip(p, f.normal)) == f.support_value for p in f.points
-    )
 
 
 def test_facet_normals_simplex():
@@ -210,24 +177,48 @@ def test_facet_support_inequality(points):
     if not p.is_full_dimensional():
         return
     for v in facet_normals(p):
-        s = support_value(p, v)
-        dots = [sum(a * b for a, b in zip(q, v)) for q in p.points]
-        assert all(x >= s for x in dots)
-        assert s in dots
+        dots = [sum(a * b for a, b in zip(q, v)) for q in p.vertices]
+        s = min(dots)
+        assert all(sum(a * b for a, b in zip(q, v)) >= s for q in points)
+        assert dots.count(s) == 2  # an edge of the hull, not a vertex
 
 
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, 5)),
-        min_size=1,
-        max_size=10,
+def _affine_rank_oracle(points):
+    """Dimension of the affine hull by integer Gaussian elimination, the
+    general routine that `LatticePolytope.rank` replaced."""
+    pts = [tuple(p) for p in points]
+    base = pts[0]
+    rows = [[c - b for c, b in zip(p, base)] for p in pts[1:]]
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    for col in range(len(base)):
+        pivot = next((r for r in rows if r[col] != 0), None)
+        if pivot is None:
+            continue
+        rank += 1
+        rows.remove(pivot)
+        rows = [[pivot[col] * r[j] - r[col] * pivot[j] for j in range(len(base))]
+                for r in rows]
+        rows = [r for r in rows if any(r)]
+    return rank
+
+
+_coord = st.integers(-4, 4)
+_point_sets = st.one_of(
+    st.lists(st.tuples(_coord), min_size=1, max_size=8),
+    st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8),
+    st.builds(lambda p, k: [p] * k, st.tuples(_coord, _coord), st.integers(1, 4)),
+    st.builds(
+        lambda b, u, ts: [(b[0] + t * u[0], b[1] + t * u[1]) for t in ts],
+        st.tuples(_coord, _coord),
+        st.tuples(_coord, _coord),
+        st.lists(_coord, min_size=1, max_size=6),
     ),
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
 )
-@settings(max_examples=60, deadline=None)
-def test_face_points_subset(points, v):
-    if all(c == 0 for c in v):
-        return
+
+
+@given(_point_sets)
+@settings(max_examples=200, deadline=None)
+def test_rank_equals_affine_elimination(points):
     p = convex_hull(points)
-    f = face(p, v)
-    assert set(f.points) <= set(p.points)
+    assert p.rank == _affine_rank_oracle(points)

@@ -23,7 +23,6 @@ from polytorus.resultants import (
     _formal_resultant,
     _primes,
     classify_exceptional,
-    directional_resultant,
     eliminant_bivariate,
     poly_derivative,
     poly_divexact,
@@ -32,6 +31,7 @@ from polytorus.resultants import (
     resultant_univariate,
     roots_structure,
     squarefree_decomposition,
+    system_facet_normals,
     trim,
 )
 
@@ -636,33 +636,55 @@ def test_interpolation_of_at_most_one_value():
 # directional resultants and the classifier
 
 
+def _res_v(system):
+    return {e.normal: e.value for e in classify_exceptional(system).entries}
+
+
 def test_directional_univariate():
     s = sample_bernoulli_system(1, 6, 5, 0)
     f = s.polys[0]
-    assert directional_resultant(s, (1,)) == f.coeff((0,))
-    assert directional_resultant(s, (-1,)) == f.coeff((6,))
-    assert directional_resultant(s, (1,)) in (-1, 1)
+    assert _res_v(s) == {(1,): f.coeff((0,)), (-1,): f.coeff((6,))}
+    assert f.coeff((0,)) in (-1, 1)
 
 
 def test_directional_equal_directed_pair_vanishes():
     f1 = poly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
     f2 = poly(2, {(0, 0): -1, (1, 0): 1, (0, 1): 1})
-    assert directional_resultant((f1, f2), (-1, -1)) == 0
+    assert _res_v((f1, f2))[(-1, -1)] == 0
 
 
 def test_directional_non_facet_is_one():
+    # eta's product runs over the facet normals only: a direction that is
+    # not one (here (1, 1) and (2, -1)) has Res_v = 1 and adds nothing
     s = sample_bernoulli_system(2, 3, 5, 0)
-    assert directional_resultant(s, (1, 1)) == 1
-    assert directional_resultant(s, (2, -1)) == 1
+    normals = system_facet_normals(s.polys)
+    assert (1, 1) not in normals and (2, -1) not in normals
+    res_v = classify_exceptional(s).to_dict()["res_v"]
+    assert set(res_v) == {",".join(map(str, v)) for v in normals}
 
 
-def test_directional_rejects_nonprimitive_and_high_dim():
-    s = sample_bernoulli_system(2, 3, 5, 0)
-    with pytest.raises(ResultantError):
-        directional_resultant(s, (2, 2))
+def test_classify_rejects_high_dim():
     s3 = sample_bernoulli_system(3, 2, 5, 0)
     with pytest.raises(UnsupportedDimensionError):
-        directional_resultant(s3, (1, 0, 0))
+        classify_exceptional(s3)
+
+
+@pytest.mark.parametrize(
+    "f1, f2, common",
+    [
+        ({(1, 0): 1}, {(1, 1): 1}, True),  # both restrictions empty
+        ({(1, 0): 1}, {(0, 0): 1, (0, 1): 1}, True),  # empty, nonconstant
+        ({(1, 0): 1}, {(0, 0): 1, (1, 0): 1}, False),  # empty, constant
+        ({(0, 0): 2, (1, 0): 1}, {(0, 0): 1, (0, 1): 1}, False),  # constant
+        ({(0, 0): 1, (0, 1): 1}, {(0, 0): 2, (0, 1): 3, (0, 2): 1}, True),
+        ({(0, 0): 1, (0, 1): 1}, {(0, 0): 2, (0, 1): 1, (1, 1): 1}, False),
+    ],
+)
+def test_common_root_on_axis(f1, f2, common):
+    swap = lambda f: {(e[1], e[0]): c for e, c in f.items()}
+    for a, b in ((f1, f2), (f2, f1)):
+        assert res._common_root_on_axis((poly(2, a), poly(2, b)), 0) == common
+        assert res._common_root_on_axis((poly(2, swap(a)), poly(2, swap(b))), 1) == common
 
 
 def test_classify_univariate_never_exceptional():
