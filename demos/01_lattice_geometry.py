@@ -51,7 +51,7 @@ print(
 full = IntPolynomial.from_dict(2, {p: 1 for p in simplex_points(2, d)})
 print("\nfacet normals of 3*Sigma_2:", facet_normals(simplex))
 for v in facet_normals(simplex):
-    g, _ = directed_polynomial(full, v)
+    g = directed_polynomial(full, v)
     print(f"  v={v}: {len(g.terms)} lattice points on the facet")
 
 # Everything stays rational.  A degenerate (flat) hull keeps only its two

@@ -95,51 +95,40 @@ def support(f: IntPolynomial):
 
 
 def directed_polynomial(f: IntPolynomial, v):
-    """Restrict f to the face of its support in direction v.
+    """Restrict the two-variable f to the face of its support in direction
+    v, re-expressed in the integer coordinate of the lattice line
+    orthogonal to v, with exponents shifted to start at 0.
 
-    Returns (g, b): b is the canonical translation point (the colex-minimal
-    face point, which for full supports reproduces the translations 0 for
-    coordinate directions and (d,0,...,0) for the all-negative direction)
-    and g is the face polynomial re-expressed in integer coordinates of
-    the hyperplane orthogonal to v, with exponents shifted to start at 0.
-    For v = e_m the coordinate m is dropped; for v = -(1,...,1) the
-    coordinates are y_i = x_{i+1}/x_1.
+    For v = e_m the coordinate m is dropped; for v = (-1, -1) the
+    coordinate is y = x_2 / x_1.
     """
     if f.is_zero:
         raise PolynomialError("directed polynomial of the zero polynomial")
+    if f.nvars != 2:
+        raise PolynomialError("directed polynomials need two variables")
     v = tuple(int(c) for c in v)
-    if len(v) != f.nvars:
+    if len(v) != 2:
         raise PolynomialError("direction dimension mismatch")
     if primitive_vector(v) != v:
         raise PolynomialError(f"direction {v} is not primitive")
-    n = f.nvars
     dots = f.exponents @ np.array(v, dtype=np.int64)
     face = np.flatnonzero(dots == dots.min())
-    b = min((f.terms[i][0] for i in face), key=lambda exp: exp[::-1])
-
-    if n == 1:
-        return IntPolynomial.from_dict(0, {(): f.terms[face[0]][1]}), b
-
-    diff = f.exponents[face] - np.array(b, dtype=np.int64)
-    if v == (-1,) * n:
+    diff = f.exponents[face] - f.exponents[face[0]]
+    if v == (-1, -1):
         coords = diff[:, 1:]
-    elif sorted(v) == [0] * (n - 1) + [1]:
-        coords = diff[:, [k for k in range(n) if not v[k]]]
-    elif n == 2:
+    elif v in ((1, 0), (0, 1)):
+        coords = diff[:, [v.index(0)]]
+    else:
         u = np.array((-v[1], v[0]), dtype=np.int64)
         k = 0 if u[0] != 0 else 1
         t, r = np.divmod(diff[:, k], u[k])
         if r.any() or (np.outer(t, u) != diff).any():
             raise PolynomialError("face point outside the orthogonal lattice line")
         coords = t[:, None]
-    else:
-        raise PolynomialError(
-            "general directions are only supported in dimension <= 2"
-        )
     mins = coords.min(axis=0)
     exps = map(tuple, (coords - mins).tolist())
     terms = sorted(zip(exps, (f.terms[i][1] for i in face)))
-    return IntPolynomial(n - 1, tuple(terms)), b
+    return IntPolynomial(1, tuple(terms))
 
 
 def univariate_coeffs(f: IntPolynomial):

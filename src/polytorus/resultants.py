@@ -14,8 +14,10 @@ evaluated at consecutive integer nodes, and one Euclidean remainder
 sequence on int64 arrays takes the resultant at every (prime, node) pair
 at once.  A pair whose leading coefficient vanishes at the sequence's
 common degree (a formal degree short at that node) takes the exact
-formal-degree resultant of its node instead.  Newton interpolation
-modulo each prime and the symmetric CRT residue give the coefficients.
+formal-degree resultant of its node instead.  The inverse Vandermonde
+matrix of the nodes modulo each prime, built once per (nodes, primes) and
+cached, times the node values, and the symmetric CRT residue give the
+coefficients.
 The primes are the fewest whose product M satisfies M^2 > 4 s1^m2 s2^m1,
 the Hadamard bound of the Sylvester matrix on |y| = 1, which by Cauchy
 bounds every coefficient.  The exactness self-check is a check node one
@@ -31,7 +33,8 @@ On top of these sits the exceptional-set classifier.  At each facet
 normal of the Minkowski sum of the supports it takes the directional
 resultant (faces of the supports translated into the orthogonal lattice
 line); a system is exceptional when one of these vanishes or when it has
-a common zero with some vanishing coordinate.
+a common zero with some vanishing coordinate.  A resultant asked for
+twice within one system is computed once.
 """
 
 from __future__ import annotations
@@ -595,37 +598,55 @@ def _inverse_factorials(primes: tuple, count: int) -> np.ndarray:
     return table
 
 
-def _interpolate_mod(values, lo: int, primes) -> np.ndarray:
-    """(K, P) int64: low-to-high coefficients, modulo each prime, of the
-    polynomial of degree < K through (lo + k, values[:, k]).
+@functools.lru_cache(maxsize=16)
+def _inverse_vandermonde(lo: int, count: int, primes: tuple):
+    """(high, low), two read-only (P, count, count) int64 arrays: the
+    inverse of the Vandermonde matrix V[k, j] = (lo + k)^j modulo each
+    prime, split as 2^16 high + low with high < 2^15 and low < 2^16.
 
-    In place: K - 1 rounds of forward differences leave Delta^k p(lo) in
-    row k; times 1/k! these are the Newton coefficients on the nodes
-    lo + k, and Horner's rule acc <- acc * (y - lo - k) + c_k, run from
-    the top row down, expands the Newton form.  Both loops reduce modulo
-    p only when the next round could overflow int64.
+    Column k is the Lagrange basis polynomial of node x_k = lo + k:
+    W(y) / (y - x_k), W = prod_i (y - x_i), by synthetic division for all
+    k at once, times 1 / prod_{i != k} (x_k - x_i), which is
+    (-1)^(count-1-k) / (k! (count-1-k)!).  O(count^2) per prime.
     """
-    p = np.array(primes, dtype=np.int64)
-    top = max(primes)
-    c = values.T.copy()
-    count = len(c)
-    size = top
-    for k in range(1, count):
-        if 2 * size >= _INT64_LIMIT:
-            c[k - 1 :] %= p
-            size = top
-        c[k:] = c[k:] - c[k - 1 : -1]
-        size *= 2
-    c = c % p * _inverse_factorials(tuple(primes), count) % p
-    size = top
-    for k in range(count - 2, -1, -1):
-        grow = 1 + abs(lo + k)
-        if size * grow >= _INT64_LIMIT:
-            c[k:] %= p
-            size = top
-        c[k:-1] -= (lo + k) * c[k + 1 :]
-        size *= grow
-    return c % p
+    # a product sum of `_interpolate`: count products below 2^47, plus the
+    # reduced high part shifted by 16 bits, must fit int64
+    if (count + 1) << 47 >= _INT64_LIMIT:
+        raise ComputationError(f"{count} interpolation nodes overflow int64")
+    p = np.array(primes, dtype=np.int64)[:, None]
+    nodes = (lo + np.arange(count, dtype=np.int64)) % p  # (P, count)
+    w = np.zeros((len(primes), count + 1), dtype=np.int64)
+    w[:, 0] = 1
+    for i in range(count):  # w <- w (y - x_i)
+        w[:, 1:] = (w[:, :-1] - nodes[:, i, None] * w[:, 1:]) % p
+        w[:, 0] = -nodes[:, i] * w[:, 0] % p[:, 0]
+    inv = np.empty((len(primes), count, count), dtype=np.int64)  # [prime, j, k]
+    q = np.ones_like(nodes)  # the top coefficient of W / (y - x_k), each k
+    inv[:, count - 1] = q
+    for j in range(count - 1, 0, -1):
+        q = (w[:, j, None] + nodes * q) % p
+        inv[:, j - 1] = q
+    fact = _inverse_factorials(primes, count).T  # (P, count): 1/k!
+    den = fact * fact[:, ::-1] % p
+    odd = (count - 1 - np.arange(count)) % 2 == 1
+    den[:, odd] = (p - den[:, odd]) % p
+    inv = inv * den[:, None, :] % p[:, None]
+    high, low = inv >> 16, inv & 0xFFFF
+    high.flags.writeable = low.flags.writeable = False  # cached for every caller
+    return high, low
+
+
+def _interpolate(values, lo: int, primes) -> np.ndarray:
+    """(K, P) int64: low-to-high coefficients, modulo each prime, of the
+    polynomial of degree < K through (lo + k, values[:, k]): the cached
+    inverse Vandermonde matrix (`_inverse_vandermonde`) times the (P, K)
+    residues, as two exact int64 matrix products (integer matmul uses no
+    BLAS)."""
+    high, low = _inverse_vandermonde(lo, values.shape[1], tuple(primes))
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    v = values[:, :, None]
+    c = (np.matmul(high, v) % p << 16) + np.matmul(low, v)
+    return (c % p)[:, :, 0].T
 
 
 def _crt_symmetric(residues, primes) -> list:
@@ -651,8 +672,10 @@ def eliminant_bivariate(f1: IntPolynomial, f2: IntPolynomial, eliminate) -> list
     integer nodes modulo enough primes (`_resultants_mod`), interpolated
     modulo each and lifted by CRT.  The check node one past the nodes
     must agree with the exact resultant there, or ComputationError is
-    raised.  Returns [] when the eliminant is identically zero (shared
-    factor / non-isolated zeros).
+    raised.  The interpolation matrix depends only on the nodes and the
+    primes, so eliminants of one degree and support share it.  Returns []
+    when the eliminant is identically zero (shared factor / non-isolated
+    zeros).
     """
     var = {"x": 0, "y": 1, 0: 0, 1: 1}.get(eliminate)
     if var is None:
@@ -678,7 +701,7 @@ def eliminant_bivariate(f1: IntPolynomial, f2: IntPolynomial, eliminate) -> list
               for rows in (rows1, rows2))
     primes = _crt_primes(4 * s1**m2 * s2**m1)
     values = _resultants_mod(rows1, rows2, lo, count, primes)
-    r = trim(_crt_symmetric(_interpolate_mod(values, lo, primes), primes))
+    r = trim(_crt_symmetric(_interpolate(values, lo, primes), primes))
     node = lo + count
     c1 = [_eval_int(row, node) for row in rows1]
     c2 = [_eval_int(row, node) for row in rows2]
@@ -712,11 +735,10 @@ def system_facet_normals(polys):
     return facet_normals(acc)
 
 
-def _facet_resultant(polys, v) -> int:
+def _facet_resultant(polys, v, resultant) -> int:
     """Resultant of the two directed polynomials at a facet normal v (n=2)."""
-    g1, _ = directed_polynomial(polys[0], v)
-    g2, _ = directed_polynomial(polys[1], v)
-    return resultant_univariate(univariate_coeffs(g1), univariate_coeffs(g2))
+    g1, g2 = (tuple(univariate_coeffs(directed_polynomial(f, v))) for f in polys)
+    return resultant(g1, g2)
 
 
 @dataclass(frozen=True)
@@ -753,13 +775,12 @@ class DirectionalReport:
         }
 
 
-def _common_root_on_axis(polys, axis: int) -> bool:
+def _common_root_on_axis(polys, axis: int, resultant) -> bool:
     """Does the system restricted to x_axis = 0 have a common zero?"""
-    r1 = restrict_to_zero(polys[0], axis)
-    r2 = restrict_to_zero(polys[1], axis)
+    r1, r2 = (tuple(restrict_to_zero(f, axis)) for f in polys)
     if not r1 and not r2:
         return True
-    return resultant_univariate(r1, r2) == 0
+    return resultant(r1, r2) == 0
 
 
 def classify_exceptional(system, label: str = "") -> DirectionalReport:
@@ -767,7 +788,9 @@ def classify_exceptional(system, label: str = "") -> DirectionalReport:
 
     Computes every facet directional resultant and, per coordinate, the
     common-zero test on the coordinate hyperplane; the system is
-    exceptional when any of these degenerates.
+    exceptional when any of these degenerates.  A resultant asked for
+    twice, keyed by its coefficient tuples, is computed once: on a full
+    support the facets (1, 0) and (0, 1) restrict f as x = 0 and y = 0 do.
     """
     polys = _system_polys(system)
     n = polys[0].nvars
@@ -788,11 +811,12 @@ def classify_exceptional(system, label: str = "") -> DirectionalReport:
             ]
         zero_flags = (f.coeff((0,)) == 0,)
     else:
+        resultant = functools.cache(resultant_univariate)
         entries = [
-            DirectionalEntry(v, _facet_resultant(polys, v))
+            DirectionalEntry(v, _facet_resultant(polys, v, resultant))
             for v in system_facet_normals(polys)
         ]
-        zero_flags = tuple(_common_root_on_axis(polys, ax) for ax in range(2))
+        zero_flags = tuple(_common_root_on_axis(polys, ax, resultant) for ax in range(2))
     exceptional = any(e.is_zero for e in entries) or any(zero_flags)
     return DirectionalReport(
         system_label=label,

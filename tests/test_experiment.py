@@ -389,3 +389,39 @@ def test_records_reach_disk_before_a_trial_fails(tmp_path, monkeypatch):
         run_experiment(cfg)
     lines = (tmp_path / "run" / "trials_n2_d2.jsonl").read_text().splitlines()
     assert [json.loads(line)["trial"] for line in lines] == [0, 1, 2]
+
+
+def _perfbench_spans():
+    """perfbench/spans.py, imported from its file as the benchmark does."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n, degree, trials", [(2, 4, 2), (1, 30, 1)])
+def test_benchmark_tracer_sees_every_trial(tmp_path, n, degree, trials):
+    # the benchmark's tracer keys systems and zero cycles by the (d, trial)
+    # of each run_experiment call to run_trial(n, d, trial, ...), and
+    # reads the solver's counters from the spanned calls; a run that
+    # solved trials some other way would lose both
+    over = {"n": n, "degrees": [degree], "trials_per_degree": trials}
+    if n == 1:
+        over["box_probes"] = [
+            {"radial": [[0.0, 0.3]], "angular": [[-math.pi, math.pi]]},
+            {"radial": [[0.0, None]], "angular": [[-math.pi, math.pi]]},
+        ]
+    cfg = tiny_config(tmp_path, **over)
+    tracer = _perfbench_spans().Tracer()
+    with tracer.installed():
+        run_experiment(cfg)
+    solved = {(r.d, r.trial) for r in load_records(cfg.out_dir, n, [degree]) if not r.exceptional}
+    assert set(tracer.systems) == {(degree, t) for t in range(trials)}
+    assert solved and set(tracer.cycles) == solved
+    metrics = tracer.metrics()
+    assert metrics["solver.aberth_sweeps"] > 0
+    if n == 2:
+        assert metrics["resultants.eliminant_degree"] > 0

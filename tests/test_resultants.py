@@ -632,6 +632,73 @@ def test_interpolation_of_at_most_one_value():
         _interpolate_integers(0, [])
 
 
+def _interpolate_mod(values, lo: int, primes) -> np.ndarray:
+    """(K, P): the Newton-form interpolation that the inverse Vandermonde
+    matrix replaced.  K - 1 rounds of forward differences leave
+    Delta^k p(lo) in row k; times 1/k! these are the Newton coefficients
+    on the nodes lo + k, and Horner's rule acc <- acc * (y - lo - k) + c_k,
+    run from the top row down, expands the Newton form.  Both loops
+    reduce modulo p only when the next round could overflow int64."""
+    p = np.array(primes, dtype=np.int64)
+    top = max(primes)
+    c = values.T.copy()
+    count = len(c)
+    size = top
+    for k in range(1, count):
+        if 2 * size >= res._INT64_LIMIT:
+            c[k - 1 :] %= p
+            size = top
+        c[k:] = c[k:] - c[k - 1 : -1]
+        size *= 2
+    c = c % p * res._inverse_factorials(tuple(primes), count) % p
+    size = top
+    for k in range(count - 2, -1, -1):
+        grow = 1 + abs(lo + k)
+        if size * grow >= res._INT64_LIMIT:
+            c[k:] %= p
+            size = top
+        c[k:-1] -= (lo + k) * c[k + 1 :]
+        size *= grow
+    return c % p
+
+
+@pytest.mark.parametrize("count", [1, 2, 17, 37, 101, 145, 257])
+def test_inverse_vandermonde_equals_newton_form(count):
+    # random residues, and the largest ones, which make the int64 product
+    # sums largest
+    rng = np.random.default_rng(count)
+    for k in range(1, 6):
+        primes = _primes(k)
+        for lo in (-(count // 2), 3 - count):
+            for values in (
+                np.array([rng.integers(0, q, count) for q in primes], dtype=np.int64),
+                np.array([[q - 1] * count for q in primes], dtype=np.int64),
+            ):
+                got = res._interpolate(values, lo, primes)
+                assert np.array_equal(got, _interpolate_mod(values, lo, primes))
+            high, low = res._inverse_vandermonde(lo, count, tuple(primes))
+            assert high.max() < 2**15 and low.max() < 2**16
+            assert not (high.flags.writeable or low.flags.writeable)
+
+
+def test_inverse_vandermonde_rejects_int64_overflow():
+    # count products below 2^47 plus the shifted high part below 2^47
+    # reach 2^63 at 2^16 - 1 nodes
+    with pytest.raises(ComputationError, match="overflow int64"):
+        res._inverse_vandermonde(0, 2**16 - 1, tuple(_primes(1)))
+
+
+def test_inverse_vandermonde_is_built_once_per_nodes_and_primes():
+    # full supports of one degree share their nodes and primes: the first
+    # eliminant builds the matrix, every later one of that degree reuses it
+    res._inverse_vandermonde.cache_clear()
+    for trial in range(3):
+        for axis in "xy":
+            eliminant_bivariate(*sample_bernoulli_system(2, 6, 1, trial).polys, axis)
+    info = res._inverse_vandermonde.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
 # ---------------------------------------------------------------------------
 # directional resultants and the classifier
 
@@ -683,8 +750,25 @@ def test_classify_rejects_high_dim():
 def test_common_root_on_axis(f1, f2, common):
     swap = lambda f: {(e[1], e[0]): c for e, c in f.items()}
     for a, b in ((f1, f2), (f2, f1)):
-        assert res._common_root_on_axis((poly(2, a), poly(2, b)), 0) == common
-        assert res._common_root_on_axis((poly(2, swap(a)), poly(2, swap(b))), 1) == common
+        polys = (poly(2, a), poly(2, b))
+        assert res._common_root_on_axis(polys, 0, resultant_univariate) == common
+        polys = (poly(2, swap(a)), poly(2, swap(b)))
+        assert res._common_root_on_axis(polys, 1, resultant_univariate) == common
+
+
+def test_classify_computes_each_resultant_once(monkeypatch):
+    # on a full support the facets (1, 0) and (0, 1) restrict the system
+    # as x = 0 and y = 0 do: five resultants asked for, three distinct
+    calls = []
+    original = res.resultant_univariate
+    monkeypatch.setattr(
+        res, "resultant_univariate", lambda f, g: calls.append((f, g)) or original(f, g)
+    )
+    system = sample_bernoulli_system(2, 4, 1, 0)
+    report = classify_exceptional(system)
+    assert len(calls) == len(set(calls)) == 3
+    monkeypatch.undo()
+    assert classify_exceptional(system) == report
 
 
 def test_classify_univariate_never_exceptional():

@@ -122,28 +122,29 @@ def _reference_error_bound(abs_coeffs, z):
 
 def test_floor_stop_ends_ill_conditioned_batch(monkeypatch):
     # Res_y of this d=10 trial is square-free of degree 100; stopped by
-    # the Aberth correction alone it ran all 200 sweeps and left 2 roots
-    # flagged unconverged
+    # the Aberth correction alone, from the circle, it ran all 200 sweeps
+    # and left 2 roots flagged unconverged
     s = sample_bernoulli_system(2, 10, 1, 13)
     (((factor, mult),),) = roots_structure(eliminant_bivariate(*s.polys, "y"))
     assert (mult, len(factor) - 1) == (1, 100)
     calls = []
     floor_test = solver._at_rounding_floor
 
-    def spy(abs_rows, norm1, z, p, cand):
-        got = floor_test(abs_rows, norm1, z, p, cand)
-        calls.append((abs_rows, z.copy(), p.copy(), cand.copy(), got.copy()))
+    def spy(abs_layout, norm1, z, p, cand):
+        got = floor_test(abs_layout, norm1, z, p, cand)
+        calls.append((z.copy(), p.copy(), cand.copy(), got.copy()))
         return got
 
     monkeypatch.setattr(solver, "_at_rounding_floor", spy)
     res = roots_univariate(factor)
     assert res.sweeps < solver.ABERTH_MAX_SWEEPS
     assert res.converged.all()
+    abs_coeffs = np.abs(solver.scaled_float_coeffs(factor))
     stopped = 0
-    for abs_rows, z, p, cand, got in calls:
+    for z, p, cand, got in calls:
         assert not (got & ~cand).any()
         for r, k in zip(*np.nonzero(cand)):
-            bound = _reference_error_bound(abs_rows[r], z[r, k])
+            bound = _reference_error_bound(abs_coeffs, z[r, k])
             assert got[r, k] == (abs(p[r, k]) <= 4 * 2.0**-53 * bound)
         stopped += int(got.sum())
     assert stopped > 0
@@ -162,7 +163,7 @@ def test_rounding_floor_predicate_matches_scalar_bound(deg):
     side = rng.choice([0.99, 1.01], z.shape)  # just under or just over
     p = side * 4 * 2.0**-53 * bound * np.exp(1j * rng.uniform(0, 6, z.shape))
     cand = rng.random(z.shape) < 0.8
-    got = solver._at_rounding_floor(abs_rows, abs_rows.sum(axis=1), z, p, cand)
+    got = solver._at_rounding_floor(solver._layout(abs_rows), abs_rows.sum(axis=1), z, p, cand)
     assert np.array_equal(got, cand & (side < 1))
 
 
@@ -174,7 +175,7 @@ def test_floor_stop_keeps_well_conditioned_roots(monkeypatch):
     exact = np.exp(2j * np.pi * np.arange(d) / d)
     assert all(np.min(np.abs(exact - z)) <= 1e-13 for z in res.roots)
     monkeypatch.setattr(
-        solver, "_at_rounding_floor", lambda abs_rows, norm1, z, p, cand: cand & False
+        solver, "_at_rounding_floor", lambda abs_layout, norm1, z, p, cand: cand & False
     )
     tol_only = roots_univariate(coeffs)
     assert np.max(np.abs(res.roots - tol_only.roots)) <= 1e-13
@@ -559,10 +560,11 @@ def test_one_pass_newton_ratio_equals_two_pass(rows, deg):
     )
     z = np.stack([_far_candidates(rng, 2 * deg) for _ in range(rows)])
     z[:, 0] = 10.0 ** rng.uniform(-3, 3, rows)  # near the iteration's range
-    outside, v, p, dp = solver._eval_one_side(coeff_rows, z)
+    layout = solver._layout(coeff_rows)
+    outside, v, p, dp = solver._eval_one_side(layout, z)
     assert np.array_equal(outside, np.abs(z) > 1.0)
     assert np.all(np.abs(v) <= 1.0)
-    w, p_ratio = solver._newton_ratio(coeff_rows, z)
+    w, p_ratio = solver._newton_ratio(layout, deg, z)
     assert np.array_equal(p_ratio, p)
     u = 2.0**-53
     j = np.arange(deg + 1)
@@ -606,7 +608,7 @@ def test_degree_800_kernels_match_references():
     for idx in (np.arange(deg), np.sort(rng.choice(deg, 300, replace=False))):
         assert np.array_equal(solver._pairwise_inverse_sum(z[0], idx), ref[idx])
 
-    outside, v, p, dp = solver._eval_one_side(coeff_rows, z)
+    outside, v, p, dp = solver._eval_one_side(solver._layout(coeff_rows), z)
     p_in, dp_in = _horner(coeff_rows, v)
     p_out, dp_out = _horner(coeff_rows[:, ::-1], v)
     side = np.where(outside[0, :, None], coeff_rows[:, ::-1], coeff_rows)
@@ -661,10 +663,11 @@ def _full_set_aberth(coeffs, start=None):
     active = np.ones((rows, deg), dtype=bool)
     sweeps, counts, rescues = 0, [], 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        layout, abs_layout = solver._layout(coeff_rows), solver._layout(abs_rows)
         while sweeps < solver.ABERTH_MAX_SWEEPS and active.any():
             sweeps += 1
             counts.append(int(active.sum()))
-            w, p = solver._newton_ratio(coeff_rows, z)
+            w, p = solver._newton_ratio(layout, deg, z)
             diff = z[:, :, None] - z[:, None, :]
             diff[:, k, k] = np.inf
             s = (1.0 / diff).sum(axis=2)
@@ -677,7 +680,7 @@ def _full_set_aberth(coeffs, start=None):
             if bad.any():
                 corr = np.where(bad, 0.5 * z, corr)
             done = np.abs(corr) <= solver.ABERTH_TOL * (1.0 + np.abs(z))
-            done |= solver._at_rounding_floor(abs_rows, norm1, z, p, active & ~done)
+            done |= solver._at_rounding_floor(abs_layout, norm1, z, p, active & ~done)
             z = np.where(active, z - corr, z)
             active &= ~done
     return z[0], ~active[0], sweeps, counts, rescues
@@ -728,7 +731,8 @@ _ABERTH_CASES = {
     },
     # 1000 active points make four blocks of the pairwise sum, the last short
     "z^1000 - 1": _from_terms(1000, {0: -1, 1000: 1}),
-    # 10 roots are still moving at the sweep cap
+    # roots of moduli 1e-20 and 1e20: from one circle, 10 were still
+    # moving at the sweep cap; the Newton polygon starts each on its own
     "1 + 1e200 z^10 + z^20": _from_terms(20, {0: 1, 10: 1e200, 20: 1}),
     # the evaluation overflows: non-finite corrections take the rescue
     "sum z^j + 1e308 z^20": _from_terms(40, {j: 1 for j in range(41)} | {20: 1e308}),
@@ -739,26 +743,49 @@ _ABERTH_CASES = {
 def test_active_set_aberth_matches_full_set_loop(case):
     """Stopped points stay frozen in every S_k, so the active-set sweep
     forms each active point's correction from the same summands, in the
-    same order, as the full-set loop: the roots, their flags and the sweep
-    count are the same bits."""
+    same order, as the full-set loop from the same start: the roots, their
+    flags and the sweep count are the same bits."""
     coeffs = _ABERTH_CASES[case]
     z, converged, sweeps = solver._aberth_batch(coeffs)
-    ref_z, ref_converged, ref_sweeps, _, rescues = _full_set_aberth(coeffs)
+    start = solver._start_points(coeffs)
+    ref_z, ref_converged, ref_sweeps, _, rescues = _full_set_aberth(coeffs, start)
     assert np.array_equal(z, ref_z)
     assert np.array_equal(converged, ref_converged)
     assert sweeps == ref_sweeps
     if case.startswith("1 + 1e200"):
-        assert sweeps == solver.ABERTH_MAX_SWEEPS and (~converged).sum() == 10
+        # z^10 = -10^(+-200) (1 + O(10^-400)): 10^(+-20) times the 10th
+        # roots of -1.  The correction test ABERTH_TOL (1 + |z|) is
+        # absolute below |z| = 1, so the roots of modulus 1e-20 stop after
+        # one correction, within 1e-2 relative; the others within 1e-13
+        assert converged.all() and sweeps < 10
+        unit = np.exp(1j * np.pi * (2 * np.arange(10) + 1) / 10)
+        for scale, tol in ((1e20, 1e-13), (1e-20, 1e-2)):
+            near = z[np.abs(np.abs(z) / scale - 1) < 0.5]
+            assert len(near) == 10
+            err = np.abs(near[:, None] / scale - unit[None, :])
+            assert sorted(err.argmin(axis=1)) == list(range(10))
+            assert err.min(axis=1).max() <= tol
     if case.startswith("sum z^j"):
         assert rescues > 0
 
 
+@pytest.mark.parametrize(
+    "case", [c for c in _ABERTH_CASES if c.startswith("n1-suite")] + ["z^1000 - 1"]
+)
+def test_one_edge_newton_polygon_is_the_circle(case):
+    # the coefficients of a +-1 polynomial share one modulus, and z^1000 - 1
+    # has two terms: the polygon is one edge, and its start is the circle
+    coeffs = _ABERTH_CASES[case]
+    assert len(coeffs) - 1 > solver.EIG_START_MAX_DEGREE
+    assert np.array_equal(solver._start_points(coeffs), _circle_start(coeffs))
+
+
 @pytest.mark.parametrize("case", ["1 + 1e200 z^10 + z^20", "sum z^j + 1e308 z^20"])
-def test_degenerate_eigenvalue_starts_take_the_circle(case):
+def test_degenerate_eigenvalue_starts_take_the_newton_polygon(case):
     # below the crossover, but the companion eigenvalues hold repeated
     # exact zeros (11 distinct of 20 for 1e200, whose 10 zeros would
     # "converge" to 0 in one sweep; 21 of 40 for 1e308): the guard starts
-    # on the circle
+    # on the Newton polygon
     coeffs = _ABERTH_CASES[case]
     deg = len(coeffs) - 1
     assert deg <= solver.EIG_START_MAX_DEGREE
@@ -766,7 +793,7 @@ def test_degenerate_eigenvalue_starts_take_the_circle(case):
     companion[:, -1] = -coeffs.real[:-1] / coeffs.real[-1]
     eig = np.linalg.eigvals(companion)
     assert not eig.all() and len(np.unique(eig)) < deg
-    assert np.array_equal(solver._start_points(coeffs), _circle_start(coeffs))
+    assert np.array_equal(solver._start_points(coeffs), solver._polygon_start(coeffs))
 
 
 @pytest.mark.parametrize(
@@ -807,14 +834,19 @@ def test_eigenvalue_starts_stop_within_three_sweeps(d, trial):
         assert sweeps == ref_sweeps
 
 
-def test_above_the_crossover_aberth_starts_on_the_circle():
-    coeffs = _eliminant_factor(10, 0, "y")
-    assert len(coeffs) - 1 == 100 > solver.EIG_START_MAX_DEGREE
+@pytest.mark.parametrize("d", [10, 12])
+def test_above_the_crossover_aberth_starts_on_the_newton_polygon(d):
+    # trial 0's Res_y, of degree 100 and 144: 12 and 15 sweeps from the
+    # Newton polygon, 18 and 21 from the circle
+    coeffs = _eliminant_factor(d, 0, "y")
+    assert len(coeffs) - 1 == d * d > solver.EIG_START_MAX_DEGREE
+    start = solver._start_points(coeffs)
+    assert np.array_equal(start, solver._polygon_start(coeffs))
     z, converged, sweeps = solver._aberth_batch(coeffs)
-    ref_z, ref_converged, ref_sweeps, _, _ = _full_set_aberth(coeffs)
+    ref_z, ref_converged, ref_sweeps, _, _ = _full_set_aberth(coeffs, start)
     assert np.array_equal(z, ref_z)
     assert np.array_equal(converged, ref_converged)
-    assert sweeps == ref_sweeps > 3
+    assert sweeps == ref_sweeps < _full_set_aberth(coeffs)[2]
 
 
 @pytest.mark.parametrize("d", [100, 400])
@@ -826,9 +858,9 @@ def test_sweeps_evaluate_only_active_points(monkeypatch, d):
     evaluated, summed = [], []
     newton_ratio, pairwise = solver._newton_ratio, solver._pairwise_inverse_sum
 
-    def count_ratio(coeff_rows, z):
+    def count_ratio(layout, deg, z):
         evaluated.append(z.shape[1])
-        return newton_ratio(coeff_rows, z)
+        return newton_ratio(layout, deg, z)
 
     def count_pairwise(z, idx):
         summed.append(len(idx))
@@ -862,7 +894,7 @@ def test_evaluation_memory_within_pairwise_sum():
     )
     peaks = []
     for call in (
-        lambda: solver._eval_one_side(coeff_rows, z),
+        lambda: solver._eval_one_side(solver._layout(coeff_rows), z),
         lambda: solver._pairwise_inverse_sum(z[0], np.arange(deg)),
     ):
         tracemalloc.start()
@@ -884,7 +916,7 @@ def test_evaluation_does_not_depend_on_blas_threads():
         "a = rng.standard_normal((1, 2001)) + 1j * rng.standard_normal((1, 2001))\n"
         "z = 10.0 ** rng.uniform(-0.2, 0.2, (1, 2000))\n"
         "z = z * np.exp(7j * rng.random((1, 2000)))\n"
-        "_, _, p, dp = solver._eval_one_side(a, z)\n"
+        "_, _, p, dp = solver._eval_one_side(solver._layout(a), z)\n"
         "print(hashlib.sha256(p.tobytes() + dp.tobytes()).hexdigest())\n"
     )
     src = os.path.dirname(os.path.dirname(solver.__file__))
@@ -921,7 +953,13 @@ def test_solve_bivariate_matches_reference_kernels(monkeypatch, d, seed):
         )
 
     monkeypatch.setattr(solver, "_scaled_residuals", scalar_residuals)
-    monkeypatch.setattr(solver, "_newton_ratio", _reference_newton_ratio)
+    monkeypatch.setattr(
+        solver,
+        "_newton_ratio",
+        lambda layout, deg, z: _reference_newton_ratio(
+            layout.reshape(len(layout), 4, -1)[:, 0, : deg + 1], z
+        ),
+    )
     ref_cycle, ref_diag = solve_bivariate(*polys)
     assert diag.iterations == ref_diag.iterations
     assert len(cycle.points) == len(ref_cycle.points)
