@@ -5,9 +5,9 @@ report.  Systems are read from a JSON file argument when given, otherwise
 sampled from --n/--d/--seed/--trial.  Exit codes: 0 success, 2 config
 error, 3 bound violation (a theorem failed) or hard failure (a failed
 exactness self-check, a classifier mismatch, zeros that are not
-isolated), 4 I/O error.  A bound violation writes violation_dump.json
-into the run directory of the experiment, or into the current directory
-when the run has none.
+isolated, coefficients out of double range), 4 I/O error.  A bound
+violation writes violation_dump.json into the run directory of the
+experiment, or into the current directory when the run has none.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .resultants import (
     UnsupportedDimensionError,
     classify_exceptional,
 )
-from .solver import NonIsolatedError, solve_bivariate, solve_univariate_cycle
+from .solver import SolverError, solve_bivariate, solve_univariate_cycle
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
         except OSError:
             print(json.dumps(dump, sort_keys=True), file=sys.stderr)
         return EXIT_VIOLATION
-    except (ClassifierMismatchError, ComputationError, NonIsolatedError) as exc:
+    except (ClassifierMismatchError, ComputationError, SolverError) as exc:
         print(f"hard failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except OSError as exc:

@@ -19,7 +19,9 @@ disks touch does the exact square-free structure decide.  Bivariate
 systems are solved through both exact eliminants, without
 back-substitution: the roots of Res_x (the y coordinates) and of Res_y
 (the x coordinates) are paired by their scaled residual and polished by
-2x2 Newton steps.  `dropped` counts y roots left unpaired,
+2x2 Newton steps; one overflow-safe evaluator of p(x, y) / s^deg,
+s = max(1, |x|, |y|) (`_scaled_values`), gives the pair scores, the Newton
+steps and the residuals.  `dropped` counts y roots left unpaired,
 `cross_check_mismatches` x multiplicity left unpaired, and `iterations`
 the Aberth sweeps of both eliminants.
 
@@ -59,6 +61,7 @@ DISK_SLACK = 1e-12  # covers rounding of radii and centre distances (~20 u)
 NEWTON_PAIR_STEPS = 2
 JACOBIAN_FLOOR = 1e-8  # |det J| relative to its two products: singular
 RESIDUAL_TOL = 1e-6
+OUT_OF_RANGE = "the coefficients are out of double range"
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +267,16 @@ def _aberth_batch(coeffs: np.ndarray):
     full-set iteration.  The coefficient layouts of a and of |a| are built
     once per run.  Returns (roots, converged, sweeps); a root that
     stopped by neither rule within ABERTH_MAX_SWEEPS is flagged, never
-    silently dropped.
+    silently dropped.  Raises SolverError on starting points that are not
+    finite.
     """
     deg = len(coeffs) - 1
     if deg < 1:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=bool), 0
     row = coeffs[None, :]
     z = _start_points(coeffs)
+    if not np.isfinite(z).all():
+        raise SolverError(f"{OUT_OF_RANGE}: Aberth's starting points are not finite")
     abs_row = np.abs(row)
     norm1 = abs_row.sum(axis=1)
     idx = np.arange(deg)  # the active points
@@ -309,7 +315,9 @@ def roots_univariate(coeffs) -> RootsResult:
     Roots at the origin (trailing zero coefficients) are split off
     exactly; the rest go through scaled Aberth iteration.  Practical up
     to degree ~2000 (the pairwise correction is O(active * d) per sweep).
-    Raises SolverError on a coefficient that is not an integer.
+    Raises SolverError on a coefficient that is not an integer, and when
+    the coefficients are out of double range: scaling zeroes an end
+    coefficient, or the starting points or the roots are not finite.
     """
     cs = list(coeffs)
     if not all(isinstance(c, int) for c in cs):
@@ -323,10 +331,14 @@ def roots_univariate(coeffs) -> RootsResult:
         cs.pop(0)
         nzero += 1
     scaled = scaled_float_coeffs(cs)
+    if not (scaled[0] and scaled[-1]):
+        raise SolverError(f"{OUT_OF_RANGE}: scaling zeroes an end coefficient")
     if len(cs) <= 1:
         roots = np.zeros(nzero, dtype=complex)
         return RootsResult(roots, np.ones(nzero, dtype=bool), 0, scaled)
     z, conv, sweeps = _aberth_batch(scaled.astype(complex))
+    if not np.isfinite(z).all():
+        raise SolverError(f"{OUT_OF_RANGE}: the roots are not finite")
     roots = np.concatenate([z, np.zeros(nzero, dtype=complex)])
     converged = np.concatenate([conv, np.ones(nzero, dtype=bool)])
     order = np.lexsort((roots.imag, roots.real))
@@ -512,39 +524,6 @@ class SolveDiagnostics:
         return {**asdict(self), "warnings": list(self.warnings)}
 
 
-def _term_columns(f: IntPolynomial):
-    """(deg, coefficients as a (T, 1) column, x exponents, y exponents,
-    deg - |J|) of f's T terms, the input of `_scaled_residuals`."""
-    exps = np.array([exp for exp, _ in f.terms]).reshape(-1, 2)
-    coeffs = np.array([[float(c)] for _, c in f.terms])
-    return f.degree, coeffs, exps[:, 0], exps[:, 1], f.degree - exps.sum(axis=1)
-
-
-def _scaled_residuals(columns, sups, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """max_i |f_i(x_k, y_k)| / (sup_i * s_k^deg_i), s_k = max(1, |x_k|, |y_k|).
-
-    One value per point (x_k, y_k), from `_term_columns` of each f_i.
-    Evaluated as sum a_J (x/s)^j1 (y/s)^j2 s^(|J|-deg): every term is
-    bounded by |a_J|, so far-out points cannot overflow.  Real-part
-    products and libm pow and hypot, not numpy's vectorized complex
-    multiply and power, round each term as a scalar Python loop does.
-    """
-    s = np.hypot(x.real, x.imag)
-    s = np.maximum(np.maximum(s, np.hypot(y.real, y.imag)), 1.0)
-    xs, ys = np.empty_like(x), np.empty_like(x)
-    xs.real, xs.imag = x.real / s, x.imag / s
-    ys.real, ys.imag = y.real / s, y.imag / s
-    e = np.arange(max(deg for deg, *_ in columns) + 1)[:, None]
-    xpow, ypow, spow = xs**e, ys**e, np.float_power(s, -e)
-    worst = np.zeros(x.shape)
-    for (_, c, j1, j2, m), sup in zip(columns, sups):
-        a, b, scale = c * xpow[j1], ypow[j2], spow[m]
-        re = ((a.real * b.real - a.imag * b.imag) * scale).sum(axis=0)
-        im = ((a.real * b.imag + a.imag * b.real) * scale).sum(axis=0)
-        worst = np.maximum(worst, np.hypot(re, im) / sup)
-    return worst
-
-
 def solve_univariate_cycle(f: IntPolynomial):
     """ZeroCycle of a one-variable polynomial plus diagnostics: its
     distinct roots with exact multiplicities and scaled residuals
@@ -571,52 +550,71 @@ def solve_univariate_cycle(f: IntPolynomial):
     return cycle, diag
 
 
-def _dense_coeffs(f: IntPolynomial) -> np.ndarray:
-    """f's coefficients as a (deg+1, deg+1) array, [a, b] for x^a y^b."""
-    out = np.zeros((f.degree + 1, f.degree + 1))
+def _dense_coeffs(f: IntPolynomial, deg: int) -> np.ndarray:
+    """(3, deg+1, deg+1): f, df/dx and df/dy as arrays [a, b] of the
+    coefficients of x^a y^b, zero-padded to a total degree deg >= f's."""
+    out = np.zeros((3, deg + 1, deg + 1))
     for (a, b), c in f.terms:
-        out[a, b] = float(c)
+        out[0, a, b] = float(c)
+    up = np.arange(1, deg + 1)
+    out[1, :-1] = out[0, 1:] * up[:, None]
+    out[2, :, :-1] = out[0, :, 1:] * up
     return out
 
 
-def _in_y(dense: np.ndarray, ypow: np.ndarray) -> np.ndarray:
-    """(K, deg+1) table of g_a(y_k) = sum_b dense[a, b] y_k^b."""
-    return (dense[None, :, :] * ypow[:, None, :]).sum(axis=2)
+def _horner(h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_a h[:, a] z^a by Horner's rule, h[:, a] broadcasting against z."""
+    out = np.zeros((len(h),) + z.shape, dtype=complex)
+    out += h[:, -1]
+    for a in range(h.shape[1] - 2, -1, -1):
+        out *= z
+        out += h[:, a]
+    return out
 
 
-def _pair_scores(dense, sups, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _scaled_values(coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """p(x, y) / s^deg, s = max(1, |x|, |y|), for each p of the stack
+    `coeffs` of (deg+1, deg+1) arrays, [a, b] the coefficient of x^a y^b
+    and zero where a + b > deg, over the broadcast of x and y; y has the
+    broadcast's number of dimensions.
+
+    Per y, the coefficient of x^a over sy^(deg-a), sy = max(1, |y|), is
+    h_a = sum_b c_ab (y/sy)^b (1/sy)^(deg-a-b), one einsum: without
+    `optimize` it takes no BLAS, whose rounding would depend on the thread
+    count.  Then p / s^deg = (sy/s)^deg sum_a h_a z^a, z = x/sy, by
+    Horner's rule.  Up to |z|^deg = 2^600 neither the sum nor its factor
+    leaves the double range, and the scaled rounding error is that of
+    terms bounded by |h_a| <= sum_b |c_ab|; farther out the sum runs on
+    the reversed side, (z/|z|)^deg sum_a h_a z^(a-deg).
+    """
+    deg = coeffs.shape[-1] - 1
+    sy = np.maximum(np.abs(y), 1.0)
+    e = np.arange(deg + 1)
+    inv = _powers(1.0 / sy, deg + 1)[..., np.maximum(deg - e[:, None] - e, 0)]
+    h = np.einsum("rab,...b,...ab->ra...", coeffs, _powers(y / sy, deg + 1), inv)
+    z = x / sy
+    far = np.abs(z) > 2.0 ** (600 / deg)
+    out = _horner(h, np.where(far, 0.0, z)) * (sy / np.maximum(np.abs(x), sy)) ** deg
+    if far.any():
+        z = z[far]
+        h = np.broadcast_to(h, h.shape[:2] + far.shape)[:, :, far]
+        out[:, far] = _horner(h[:, ::-1], 1.0 / z) * (z / np.abs(z)) ** deg
+    return out
+
+
+def _pair_scores(values, sups, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """(len(ys), len(xs)) matrix of max_i |f_i(x_j, y_k)| / (sup_i * s^deg_i),
-    s = max(1, |x_j|, |y_k|): the scaled residual of every pairing that f1
-    passes, and f1's failing score at the others.  `_greedy_pairs` reads
-    only the scores <= RESIDUAL_TOL, so f2 is evaluated only at the pairs
-    whose f1 score is.  Far-out points whose powers overflow score NaN and
-    never pass.
+    s = max(1, |x_j|, |y_k|), from `_scaled_values` of each f_i's value row
+    at its own degree: the scaled residual of every pairing that f1 passes,
+    and f1's failing score at the others.  `_greedy_pairs` reads only the
+    scores <= RESIDUAL_TOL, so f2 is evaluated only at the pairs whose f1
+    score is.
     """
-    k, j = np.arange(len(ys))[:, None], np.arange(len(xs))[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores = _pair_score(dense[0], sups[0], xs, ys, k, j)
-        k, j = np.nonzero(scores <= RESIDUAL_TOL)
-        scores[k, j] = np.maximum(scores[k, j], _pair_score(dense[1], sups[1], xs, ys, k, j))
+    scores = np.abs(_scaled_values(values[0], xs, ys[:, None])[0]) / sups[0]
+    k, j = np.nonzero(scores <= RESIDUAL_TOL)
+    f2 = np.abs(_scaled_values(values[1], xs[j], ys[k])[0]) / sups[1]
+    scores[k, j] = np.maximum(scores[k, j], f2)
     return scores
-
-
-def _pair_score(dense, sup, xs, ys, k, j) -> np.ndarray:
-    """|f(x_j, y_k)| / (sup * s^deg) at the broadcast indices (k, j).
-
-    f(x_j, y_k) = sum_a g_a(y_k) x_j^a, summed over a in order; no matrix
-    product (BLAS threads cost more than they save at this size) and no
-    (terms x ys x xs) array.  s^deg is the larger of max(1, |y_k|)^deg and
-    max(1, |x_j|)^deg.
-    """
-    deg = dense.shape[0] - 1
-    g = _in_y(dense, np.vander(ys, deg + 1, increasing=True)).T
-    xpow = np.vander(xs, deg + 1, increasing=True).T
-    val = np.zeros(np.broadcast_shapes(k.shape, j.shape), dtype=complex)
-    for a in range(deg + 1):
-        val += g[a][k] * xpow[a][j]
-    sy = np.maximum(np.abs(ys), 1.0) ** deg
-    sx = np.maximum(np.abs(xs), 1.0) ** deg
-    return np.abs(val) / (sup * np.maximum(sy[k], sx[j]))
 
 
 def _greedy_pairs(scores: np.ndarray, ymults, xmults):
@@ -653,29 +651,19 @@ def _greedy_pairs(scores: np.ndarray, ymults, xmults):
     return pairs, cap
 
 
-def _values_and_partials(dense: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """(f, df/dx, df/dy) at the points (x_k, y_k)."""
-    deg = dense.shape[0] - 1
-    up = np.arange(1, deg + 1)
-    xpow = np.vander(x, deg + 1, increasing=True)
-    ypow = np.vander(y, deg + 1, increasing=True)
-    g = _in_y(dense, ypow)
-    gy = _in_y(dense[:, 1:] * up, ypow[:, :-1])
-    f = (xpow * g).sum(axis=1)
-    fx = (xpow[:, :-1] * up * g[:, 1:]).sum(axis=1)
-    fy = (xpow * gy).sum(axis=1)
-    return f, fx, fy
+def _newton_2x2(coeffs: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """NEWTON_PAIR_STEPS Newton steps on (f1, f2) from the points (x, y),
+    `coeffs` the stacked `_dense_coeffs` of f1 and f2 at one degree.
 
-
-def _newton_2x2(dense, x: np.ndarray, y: np.ndarray):
-    """NEWTON_PAIR_STEPS Newton steps on (f1, f2) from the points (x, y).
-
-    A point whose Jacobian is singular up to JACOBIAN_FLOOR (a tangential
-    zero) or whose step is not small stays where it is.
+    Each step is one `_scaled_values` call on the six rows; the factor
+    s^-deg common to each polynomial's value and partials cancels in the
+    step and in the JACOBIAN_FLOOR test.  A point whose Jacobian is
+    singular up to JACOBIAN_FLOOR (a tangential zero) or whose step is not
+    small stays where it is.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(NEWTON_PAIR_STEPS):
-            (f, fx, fy), (g, gx, gy) = (_values_and_partials(c, x, y) for c in dense)
+            f, fx, fy, g, gx, gy = _scaled_values(coeffs, x, y)
             a, b = fx * gy, fy * gx
             det = a - b
             dx = (f * gy - g * fy) / det
@@ -698,14 +686,17 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
     Newton steps on (f1, f2); there is no back-substitution.  A y root
     with no x partner under RESIDUAL_TOL counts in `dropped`, x
     multiplicity left unpaired (or overdrawn by stacking) in
-    `cross_check_mismatches`.  Raises NonIsolatedError when either
-    eliminant vanishes identically.
+    `cross_check_mismatches`; the scaled evaluator cannot overflow, so
+    far-out zeros are paired too.  Raises NonIsolatedError when either
+    eliminant vanishes identically, and SolverError when coefficients are
+    out of double range.
 
     Desk scale: total degrees up to ~16 per input (eliminant degree 256).
     At d = 4 to 12 the eliminants, taken modulo word-size primes and
     interpolated by a cached matrix, are about 30% of a solve, Aberth
-    30-45%, and the inclusion disks and the pairing the rest; the
-    square-free certificate runs on the few eliminants whose disks touch.
+    30-45%, and the inclusion disks and the pairing (mostly f1 at all d^4
+    root pairs) the rest; the square-free certificate runs on the few
+    eliminants whose disks touch.
     """
     ry = eliminant_bivariate(f1, f2, "x")  # polynomial in y
     rx = eliminant_bivariate(f1, f2, "y")  # polynomial in x
@@ -727,9 +718,14 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
     ((ys, ymults, _), (xs, xmults, _)), sweeps, radius, warnings = _root_multisets(
         [("Res_x", ry), ("Res_y", rx)]
     )
-    sups = [float(sup_norm_upper(f1)), float(sup_norm_upper(f2))]
-    dense = [_dense_coeffs(f1), _dense_coeffs(f2)]
-    pairs, cap = _greedy_pairs(_pair_scores(dense, sups, xs, ys), ymults, xmults)
+    try:
+        sups = [float(sup_norm_upper(f1)), float(sup_norm_upper(f2))]
+    except OverflowError:
+        raise SolverError(f"{OUT_OF_RANGE}: sum |c_J| of f1 or f2 is past it") from None
+    polys = (f1, f2)
+    coeffs = [_dense_coeffs(f, max(f1.degree, f2.degree)) for f in polys]
+    values = [c[:1, : f.degree + 1, : f.degree + 1] for c, f in zip(coeffs, polys)]
+    pairs, cap = _greedy_pairs(_pair_scores(values, sups, xs, ys), ymults, xmults)
 
     paired = {k for k, _ in pairs}
     dropped = 0
@@ -739,8 +735,10 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
             warnings.append(f"y={ys[k]:.6g} has no x partner under the residual filter")
     ks = np.array([k for k, _ in pairs], dtype=int)
     js = np.array([j for _, j in pairs], dtype=int)
-    x, y = _newton_2x2(dense, xs[js], ys[ks])
-    resid = _scaled_residuals([_term_columns(f1), _term_columns(f2)], sups, x, y)
+    x, y = _newton_2x2(np.concatenate(coeffs), xs[js], ys[ks])
+    resid = np.maximum(
+        *(np.abs(_scaled_values(c, x, y)[0]) / sup for c, sup in zip(values, sups))
+    )
     mults = list(pairs.values())
     points = [
         CyclePoint((complex(x[i]), complex(y[i])), mults[i], float(resid[i]))

@@ -242,6 +242,52 @@ def test_non_isolated_exit_code(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "system,reason",
+    [
+        # Res_y = (x - 10^100)^12: scaling into double range zeroes its x^12
+        (
+            {"n": 2, "d": 12, "polys": [
+                [[[1, 0], 1], [[0, 0], -10**100]], [[[0, 12], 1], [[0, 0], -1]]]},
+            "scaling zeroes an end coefficient",
+        ),
+        # x^2 - 10^400: the root 10^200 is past the double range
+        (
+            {"n": 1, "d": 2, "polys": [[[[2], 1], [[0], -10**400]]]},
+            "starting points are not finite",
+        ),
+        # 10^400 (x + y - 1) = x - y = 0: the scaled residual's sum |c_J|
+        (
+            {"n": 2, "d": 1, "polys": [
+                [[[1, 0], 10**400], [[0, 1], 10**400], [[0, 0], -10**400]],
+                [[[1, 0], 1], [[0, 1], -1]]]},
+            "sum |c_J| of f1 or f2 is past it",
+        ),
+    ],
+)
+def test_coefficients_past_double_range_exit_3(tmp_path, capsys, system, reason):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(system))
+    rc = main(["solve", str(path)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hard failure: the coefficients are out of double range")
+    assert reason in captured.err and "Traceback" not in captured.err
+
+
+def test_analyze_pairs_far_out_zeros(tmp_path, capsys):
+    # x = 10^30, y^12 = 1: twelve isolated zeros, one coordinate far out
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"n": 2, "d": 12, "polys": [
+        [[[1, 0], 1], [[0, 0], -10**30]], [[[0, 12], 1], [[0, 0], -1]]]}))
+    rc = main(["analyze", str(path), "--format", "json"])
+    assert rc == 0
+    diag = json.loads(capsys.readouterr().out)["cycle"]["diagnostics"]
+    assert diag["count_found"] == diag["count_expected"] == 12
+    assert diag["dropped"] == diag["cross_check_mismatches"] == 0
+
+
 def test_failed_exactness_self_check_exits_3(monkeypatch, capsys):
     # a corrupted residue makes the eliminant miss its check node: a hard
     # failure with one line on stderr, not a traceback

@@ -24,6 +24,7 @@ from polytorus.resultants import (
     roots_structure,
 )
 from polytorus.solver import (
+    RESIDUAL_TOL,
     NonIsolatedError,
     SolverError,
     roots_univariate,
@@ -83,6 +84,16 @@ def test_degree_200_bernoulli_residuals():
 def test_roots_requires_degree():
     with pytest.raises(SolverError):
         roots_univariate([3])
+
+
+def test_roots_reject_coefficients_past_double_range():
+    # (x - 10^100)^12: scaling into double range zeroes the leading 1
+    coeffs = [math.comb(12, k) * (-(10**100)) ** (12 - k) for k in range(13)]
+    with pytest.raises(SolverError, match="scaling zeroes an end coefficient"):
+        roots_univariate(coeffs)
+    # x^2 - 10^400: the roots +-10^200 are past the double range
+    with pytest.raises(SolverError, match="starting points are not finite"):
+        roots_univariate([-(10**400), 0, 1])
 
 
 @pytest.mark.parametrize("coeffs", [[1.0, 0, 1], [1, 0, np.int64(1)], [1, 0.5, 1]])
@@ -332,6 +343,22 @@ def test_zeros_at_infinity_are_counted_not_paired():
     assert diag.dropped == 1 and diag.cross_check_mismatches == 1
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_far_out_zeros_are_paired(swap):
+    # x = 10^30, y^12 = 1: twelve isolated zeros whose x is far past
+    # 10^(308/12), where an unscaled x^12 overflows
+    terms = [{(1, 0): 1, (0, 0): -(10**30)}, {(0, 12): 1, (0, 0): -1}]
+    if swap:
+        terms = [{(b, a): c for (a, b), c in t.items()} for t in terms]
+    cycle, diag = solve_bivariate(*(poly(2, t) for t in terms))
+    assert diag.count_found == diag.count_expected == 12
+    assert diag.dropped == diag.cross_check_mismatches == 0
+    assert diag.max_residual <= RESIDUAL_TOL
+    pts = cycle.coords_array()[:, ::-1] if swap else cycle.coords_array()
+    assert np.allclose(pts[:, 0], 1e30, rtol=1e-15, atol=0)
+    assert np.allclose(pts[:, 1] ** 12, 1.0, rtol=0, atol=1e-12)
+
+
 def test_greedy_pairs_respects_x_multiplicity():
     # y1's best x is already taken by y0; it must fall back to its second
     scores = np.array([[0.0, 1e-9], [1e-10, 1e-8]])
@@ -347,10 +374,10 @@ def test_greedy_pairs_respects_x_multiplicity():
 def test_newton_2x2_converges_from_perturbed_zeros():
     f1 = poly(2, {(2, 0): 1, (0, 2): 1, (0, 0): -5})
     f2 = poly(2, {(1, 1): 1, (0, 0): -2})
-    dense = [solver._dense_coeffs(f1), solver._dense_coeffs(f2)]
+    coeffs = np.concatenate([solver._dense_coeffs(f, 2) for f in (f1, f2)])
     x = np.array([1.0, 2.0, -1.0, -2.0]) * (1 + 1e-6) + 1e-7j
     y = np.array([2.0, 1.0, -2.0, -1.0]) * (1 - 1e-6)
-    x, y = solver._newton_2x2(dense, x, y)
+    x, y = solver._newton_2x2(coeffs, x, y)
     assert np.max(np.abs(x - [1, 2, -1, -2])) <= 1e-12
     assert np.max(np.abs(y - [2, 1, -2, -1])) <= 1e-12
 
@@ -515,28 +542,67 @@ def _error_against_exact(computed, exact, log2_den):
     return math.hypot(*parts)
 
 
-def _far_candidates(rng, k):
-    """k complex points with moduli from 1e-8 to 1e8, plus the unit circle."""
-    mod = 10.0 ** rng.uniform(-8, 8, k)
+def _far_candidates(rng, k, spread=8):
+    """k complex points with moduli from 10^-spread to 10^spread, plus the
+    unit circle."""
+    mod = 10.0 ** rng.uniform(-spread, spread, k)
     pts = mod * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
     return np.concatenate([pts, [1.0, -1.0, 1j, 0.0]])
 
 
+def _reference_scaled_derivatives(f, x, y):
+    """(f, df/dx, df/dy) / s^deg as a scalar loop over terms, one (x, y)
+    pair: c_J (x/s)^a (y/s)^b s^(a+b-deg), a c_J (x/s)^(a-1) (y/s)^b
+    s^(a+b-1-deg) and likewise in y."""
+    x, y = complex(x), complex(y)
+    s = max(1.0, abs(x), abs(y))
+    xs, ys = x / s, y / s
+    val = fx = fy = 0j
+    for (a, b), c in f.terms:
+        val += c * xs**a * ys**b * s ** (a + b - f.degree)
+        scale = s ** (a + b - 1 - f.degree)
+        if a:
+            fx += a * c * xs ** (a - 1) * ys**b * scale
+        if b:
+            fy += b * c * xs**a * ys ** (b - 1) * scale
+    return val, fx, fy
+
+
 def test_residual_kernel_matches_scalar_loop():
+    """The scaled evaluator against the scalar loops, at points with moduli
+    from 1e-40 to 1e40 (so both sides of its Horner sum run) and on a
+    grid of them.  The residual and the complex value are compared
+    relative to sup = sum |c_J|.  The partials' coefficients a c_J and
+    b c_J sum to at most deg * sup in modulus, so they are compared
+    relative to that, at the same 1e-15."""
     rng = np.random.default_rng(5)
     for seed in range(50):
         d = 1 + seed % 12
         polys = sample_bernoulli_system(2, d, seed, 0).polys
         sups = [float(sup_norm_upper(f)) for f in polys]
-        columns = [solver._term_columns(f) for f in polys]
+        rows = [solver._dense_coeffs(f, d) for f in polys]
         for _ in range(3):
-            xs = _far_candidates(rng, 12)
-            ys = rng.permutation(_far_candidates(rng, 12))
-            got = solver._scaled_residuals(columns, sups, xs, ys)
+            xs = _far_candidates(rng, 12, 40)
+            ys = rng.permutation(_far_candidates(rng, 12, 40))
+            values = [solver._scaled_values(c, xs, ys) for c in rows]
+            got = np.maximum(*(np.abs(v[0]) / sup for v, sup in zip(values, sups)))
             want = [
                 _reference_scaled_residual(polys, sups, x, y) for x, y in zip(xs, ys)
             ]
             assert np.max(np.abs(got - want)) <= 1e-15
+            for f, (val, fx, fy), sup in zip(polys, values, sups):
+                ref = np.array(
+                    [_reference_scaled_derivatives(f, x, y) for x, y in zip(xs, ys)]
+                )
+                assert np.max(np.abs(val - ref[:, 0])) <= 1e-15 * sup
+                assert np.max(np.abs(fx - ref[:, 1])) <= 1e-15 * d * sup
+                assert np.max(np.abs(fy - ref[:, 2])) <= 1e-15 * d * sup
+        # on the grid of every pair, as the pair scores take it
+        grid = solver._scaled_values(rows[0][:1], xs[:6], ys[:6, None])[0]
+        for k in range(6):
+            for j in range(6):
+                want = _reference_scaled_residual(polys[:1], sups[:1], xs[j], ys[k])
+                assert abs(abs(grid[k, j]) / sups[0] - want) <= 1e-15
 
 
 @pytest.mark.parametrize("rows,deg", [(1, 1), (1, 12), (3, 7), (5, 40)])
@@ -906,19 +972,8 @@ def test_evaluation_memory_within_pairwise_sum():
     assert peaks[0] <= peaks[1]
 
 
-def test_evaluation_does_not_depend_on_blas_threads():
-    # a threaded BLAS gemm splits the work by thread count and rounds
-    # differently; the records must not depend on the machine's cores
-    script = (
-        "import hashlib, numpy as np\n"
-        "from polytorus import solver\n"
-        "rng = np.random.default_rng(7)\n"
-        "a = rng.standard_normal((1, 2001)) + 1j * rng.standard_normal((1, 2001))\n"
-        "z = 10.0 ** rng.uniform(-0.2, 0.2, (1, 2000))\n"
-        "z = z * np.exp(7j * rng.random((1, 2000)))\n"
-        "_, _, p, dp = solver._eval_one_side(solver._layout(a), z)\n"
-        "print(hashlib.sha256(p.tobytes() + dp.tobytes()).hexdigest())\n"
-    )
+def _digests_under_blas_threads(script):
+    """The distinct outputs of `script` run with 1 and with 2 BLAS threads."""
     src = os.path.dirname(os.path.dirname(solver.__file__))
     digests = set()
     for threads in ("1", "2"):
@@ -932,27 +987,60 @@ def test_evaluation_does_not_depend_on_blas_threads():
             check=True,
         )
         digests.add(run.stdout)
-    assert len(digests) == 1
+    return digests
+
+
+def test_evaluation_does_not_depend_on_blas_threads():
+    # a threaded BLAS gemm splits the work by thread count and rounds
+    # differently; the records must not depend on the machine's cores
+    script = (
+        "import hashlib, numpy as np\n"
+        "from polytorus import solver\n"
+        "rng = np.random.default_rng(7)\n"
+        "a = rng.standard_normal((1, 2001)) + 1j * rng.standard_normal((1, 2001))\n"
+        "z = 10.0 ** rng.uniform(-0.2, 0.2, (1, 2000))\n"
+        "z = z * np.exp(7j * rng.random((1, 2000)))\n"
+        "_, _, p, dp = solver._eval_one_side(solver._layout(a), z)\n"
+        "print(hashlib.sha256(p.tobytes() + dp.tobytes()).hexdigest())\n"
+    )
+    assert len(_digests_under_blas_threads(script)) == 1
+
+
+def test_scaled_evaluator_does_not_depend_on_blas_threads():
+    # the values and partials of a d = 12 pair, on the grid of 144 x 144
+    # root pairs that the scores take and at the 144 points of the Newton
+    # steps, some far out so both sides of the Horner sum run
+    script = (
+        "import hashlib, numpy as np\n"
+        "from polytorus import solver\n"
+        "from polytorus.polynomials import sample_bernoulli_system\n"
+        "polys = sample_bernoulli_system(2, 12, 1, 0).polys\n"
+        "rows = np.concatenate([solver._dense_coeffs(f, 12) for f in polys])\n"
+        "rng = np.random.default_rng(7)\n"
+        "x, y = 10.0 ** rng.uniform(-30, 30, (2, 144)) * np.exp(7j * rng.random(144))\n"
+        "grid = solver._scaled_values(rows, x, y[:, None])\n"
+        "pts = solver._scaled_values(rows, x, y)\n"
+        "print(hashlib.sha256(grid.tobytes() + pts.tobytes()).hexdigest())\n"
+    )
+    assert len(_digests_under_blas_threads(script)) == 1
 
 
 @pytest.mark.parametrize("d,seed", [(4, 3), (5, 11), (6, 5), (7, 2), (8, 1)])
 def test_solve_bivariate_matches_reference_kernels(monkeypatch, d, seed):
-    """The power-sum evaluation against Horner's rule and the scalar
-    residual loop: the same sweeps and multiplicities, and every zero
-    within 1e-12 relative of its reference (the two evaluations round
-    differently, so the last bits of a root may move)."""
+    """The power-sum evaluation against Horner's rule: the same sweeps and
+    multiplicities, and every zero within 1e-12 relative of its reference
+    (the two evaluations round differently, so the last bits of a root may
+    move).  Every residual matches the scalar loop at the returned zero."""
     t = 0
     while classify_exceptional(sample_bernoulli_system(2, d, seed, t)).exceptional:
         t += 1
     polys = sample_bernoulli_system(2, d, seed, t).polys
     cycle, diag = solve_bivariate(*polys)
+    sups = [float(sup_norm_upper(f)) for f in polys]
+    want = [_reference_scaled_residual(polys, sups, *p.coords) for p in cycle.points]
+    assert max(abs(p.residual - w) for p, w in zip(cycle.points, want)) <= 1e-15
+    assert abs(diag.max_residual - max(want)) <= 1e-15
 
-    def scalar_residuals(columns, sups, x, y):
-        return np.array(
-            [_reference_scaled_residual(polys, sups, xk, yk) for xk, yk in zip(x, y)]
-        )
-
-    monkeypatch.setattr(solver, "_scaled_residuals", scalar_residuals)
     monkeypatch.setattr(
         solver,
         "_newton_ratio",
@@ -972,7 +1060,6 @@ def test_solve_bivariate_matches_reference_kernels(monkeypatch, d, seed):
         assert p.mult == ref_cycle.points[i].mult
         matched.add(i)
     assert len(matched) == len(ref_cycle.points)
-    assert abs(diag.max_residual - ref_diag.max_residual) <= 1e-15
 
 
 def test_univariate_residuals_match_scalar_horner():
