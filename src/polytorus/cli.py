@@ -2,12 +2,15 @@
 
 Subcommands: sample, solve, classify, analyze, experiment, enumerate-d1,
 report.  Systems are read from a JSON file argument when given, otherwise
-sampled from --n/--d/--seed/--trial.  Exit codes: 0 success, 2 config
-error, 3 bound violation (a theorem failed) or hard failure (a failed
-exactness self-check, a classifier mismatch, zeros that are not
-isolated, coefficients out of double range), 4 I/O error.  A bound
-violation writes violation_dump.json into the run directory of the
-experiment, or into the current directory when the run has none.
+sampled from --n/--d/--seed/--trial.  `analyze` measures a system through
+the same function as an experiment trial, so it checks the zero count
+and the theorem bounds as a trial does.  Exit codes: 0 success, 2 config
+error, 3 bound violation (a theorem failed, or a zero count other than
+the mixed volume) or hard failure (a failed exactness self-check, a
+classifier mismatch, zeros that are not isolated, coefficients out of
+double range), 4 I/O error.  A bound violation writes
+violation_dump.json into the run directory of the experiment, or into
+the current directory for `analyze` and for a run without one.
 """
 
 from __future__ import annotations
@@ -16,22 +19,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
-from .discrepancy import (
-    DiscrepancyError,
-    ExactModeTooLarge,
-    angle_discrepancy,
-    discrepancy_bounds,
-    erdos_turan_size,
-    radius_discrepancy,
-)
+from .discrepancy import DiscrepancyError, ExactModeTooLarge
 from .experiment import (
     BoundViolationError,
     ClassifierMismatchError,
     ConfigError,
     ExperimentConfig,
+    TrialRecord,
     emit_report,
     enumerate_d1,
+    measure_system,
     run_experiment,
 )
 from .polynomials import (
@@ -46,7 +45,7 @@ from .resultants import (
     UnsupportedDimensionError,
     classify_exceptional,
 )
-from .solver import SolverError, solve_bivariate, solve_univariate_cycle
+from .solver import SolverError, solve_system
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,12 +90,7 @@ def _cmd_classify(args):
 
 def _cmd_solve(args):
     n, d, seed, trial, polys = _load_system(args)
-    if n == 1:
-        cycle, diag = solve_univariate_cycle(polys[0])
-    elif n == 2:
-        cycle, diag = solve_bivariate(polys[0], polys[1])
-    else:
-        raise ConfigError("solving implemented for n in {1, 2}")
+    cycle, diag = solve_system(polys)
     _emit(cycle.to_dict(diag), args)
     return EXIT_OK
 
@@ -109,28 +103,17 @@ def _cmd_analyze(args):
     if report.exceptional:
         out["note"] = "exceptional system; discrepancies take the convention value 1"
     else:
-        if n == 1:
-            cycle, diag = solve_univariate_cycle(polys[0])
-        else:
-            cycle, diag = solve_bivariate(polys[0], polys[1])
-        eps = args.eps
-        mode = args.angle_mode
-        delta = angle_discrepancy(
-            cycle, mode, args.grid if mode == "grid" else 64
-        )
-        eta_rep = erdos_turan_size(
-            polys, report=report, d_mv=diag.count_expected if n == 2 else None
+        rec = TrialRecord.classified(n, d, seed, trial, report)
+        cycle, diag, eta_rep = measure_system(
+            polys, report, rec, {}, epsilons=args.eps, angle_mode=args.angle_mode,
+            grid_size=args.grid,
         )
         out["cycle"] = cycle.to_dict(diag)
-        out["delta_ang"] = delta
-        out["delta_ang_mode"] = mode
-        out["delta_rad"] = {repr(e): radius_discrepancy(cycle, e) for e in eps}
+        out["delta_ang"] = rec.delta_ang
+        out["delta_ang_mode"] = args.angle_mode
+        out["delta_rad"] = rec.delta_rad
         out["eta"] = eta_rep.to_dict()
-        bounds = {repr(e): discrepancy_bounds(eta_rep.eta, n, e) for e in eps}
-        out["bounds"] = {
-            "b_ang": next(iter(bounds.values()))[0] if bounds else None,
-            "b_rad": {k: v[1] for k, v in bounds.items()},
-        }
+        out["bounds"] = {"b_ang": rec.b_ang, "b_rad": rec.b_rad}
     if args.format == "json" or args.out:
         _emit(out, args)
     else:
@@ -150,12 +133,6 @@ def _cmd_analyze(args):
 def _cmd_experiment(args):
     if args.config:
         cfg = ExperimentConfig.from_json_file(args.config)
-        if args.out:
-            cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "out_dir": args.out})
-        if args.parallelism is not None:
-            cfg = ExperimentConfig.from_dict(
-                {**cfg.to_dict(), "parallelism": args.parallelism}
-            )
     else:
         if args.n is None or not args.d:
             raise ConfigError("experiment needs --config or --n and --d")
@@ -168,10 +145,13 @@ def _cmd_experiment(args):
                 "epsilons": args.eps,
                 "angle_mode": args.angle_mode,
                 "grid_size": args.grid,
-                "out_dir": args.out,
-                "parallelism": args.parallelism or 1,
             }
         )
+    if args.out:
+        cfg = replace(cfg, out_dir=args.out)
+    if args.parallelism is not None:
+        cfg = replace(cfg, parallelism=args.parallelism)
+    cfg.validate()
     args.run_dir = cfg.out_dir  # where a violation dump goes
     result = run_experiment(cfg)
     for row in result.summary.per_degree:

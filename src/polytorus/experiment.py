@@ -2,12 +2,13 @@
 
 A trial is a pure function of (masterSeed, d, trialId): sample the
 system, classify it exactly, and when it is not exceptional solve it and
-measure discrepancies, eta and the theorem bounds.  Exceptional trials
-keep null measured fields and carry the convention value 1 separately.
-Violations of the Theorem-backed inequalities (angle/radius bounds, the
-eta upper bound, or a non-exceptional solution count different from d^n)
-abort the run with a diagnostic dump: those are impossibilities, not
-tolerances.
+measure discrepancies, eta and the theorem bounds (`measure_system`,
+which `polytorus analyze` calls too).  Exceptional trials keep null
+measured fields and carry the convention value 1 separately.  Violations
+of the Theorem-backed inequalities (angle/radius bounds, the eta upper
+bound, or a non-exceptional solution count different from the mixed
+volume, d^n for a full system) abort the run with a diagnostic dump:
+those are impossibilities, not tolerances.
 
 Records serialize to JSONL, one file per degree, one compact line per
 trial, appended as trials complete; with sequential execution the files
@@ -23,7 +24,8 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -38,13 +40,9 @@ from .discrepancy import (
     radius_discrepancy,
     EXACT_MODE_POINT_CAP,
 )
-from .polynomials import (
-    IntPolynomial,
-    bernoulli_system_to_dict,
-    sample_bernoulli_system,
-)
+from .polynomials import IntPolynomial, sample_bernoulli_system, system_to_dict
 from .resultants import classify_exceptional
-from .solver import solve_bivariate, solve_univariate_cycle
+from .solver import solve_system
 
 
 class ConfigError(ValueError):
@@ -109,8 +107,8 @@ class ExperimentConfig:
             raise ConfigError("trials_per_degree must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must lie in [0, 2**64)")
-        if any(not 0 < e < 1 for e in self.epsilons):
-            raise ConfigError("epsilons must lie in (0, 1)")
+        if not self.epsilons or any(not 0 < e < 1 for e in self.epsilons):
+            raise ConfigError("epsilons must be a nonempty list in (0, 1)")
         if self.angle_mode not in ("exact", "grid"):
             raise ConfigError("angle_mode must be 'exact' or 'grid'")
         if self.angle_mode == "grid" and self.grid_size < 2:
@@ -126,6 +124,8 @@ class ExperimentConfig:
             )
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        if self.out_dir is not None and type(self.out_dir) is not str:
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.histogram_bins < 2:
             raise ConfigError("histogram_bins must be >= 2")
         for b in self.box_probes:
@@ -152,9 +152,13 @@ class ExperimentConfig:
         """Build and validate a config from its JSON object.
 
         Counts, degrees and seeds must be JSON integers and epsilons JSON
-        numbers: 10.9 or true is refused, never coerced.
+        numbers: 10.9 or true is refused, never coerced.  A key that is
+        not a field is refused too, not ignored.
         """
         try:
+            unknown = sorted(map(str, set(obj) - {f.name for f in fields(cls)}))
+            if unknown:
+                raise ConfigError(f"unknown keys: {', '.join(unknown)}")
             cfg = cls(
                 n=_json_int(obj["n"], "n"),
                 degrees=tuple(_json_int(d, "degrees") for d in obj["degrees"]),
@@ -212,6 +216,14 @@ class TrialRecord:
     dropped: int = 0
     violations: list = field(default_factory=list)
 
+    @classmethod
+    def classified(cls, n: int, d: int, seed, trial, report) -> "TrialRecord":
+        """The record of a classified system, before any measurement."""
+        rdict = report.to_dict()
+        return cls(n=n, d=d, trial=trial, seed=seed, exceptional=report.exceptional,
+                   res_v=rdict["res_v"], zero_coord=rdict["zero_coord"],
+                   count_expected=d**n)
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -227,88 +239,51 @@ def _histogram_edges(bins: int):
     return arg_edges, mod_edges
 
 
-def run_trial(
-    n: int,
-    d: int,
-    trial: int,
-    master_seed: int,
-    epsilons,
-    angle_mode: str,
-    grid_size: int,
-    box_probes,
-    histogram_bins: int,
-):
-    """One pure trial.  Returns (record, timings, arg_hist, mod_hist)."""
-    timings = {}
-    t0 = time.perf_counter()
-    system = sample_bernoulli_system(n, d, master_seed, trial)
-    timings["sample"] = time.perf_counter() - t0
+def measure_system(polys, report, record: TrialRecord, timings: dict, *,
+                   epsilons, angle_mode: str, grid_size: int, box_probes=()):
+    """Solve a classified, non-exceptional system and fill `record`.
+
+    Fills the measured fields of `record` and the solve, angle and eta
+    phases of `timings`, and returns (cycle, diagnostics, eta report).
+    Raises BoundViolationError when the count found falls short of the
+    mixed volume (d^n for a full system) or a theorem bound is violated.
+    """
+    n = len(polys)
+
+    def violation(message):
+        system = system_to_dict(polys, n, record.d, record.seed, record.trial)
+        return BoundViolationError(message, record.to_json_dict(), system)
 
     t0 = time.perf_counter()
-    report = classify_exceptional(system)
-    timings["classify"] = time.perf_counter() - t0
-
-    rdict = report.to_dict()
-    record = TrialRecord(
-        n=n,
-        d=d,
-        trial=trial,
-        seed=master_seed,
-        exceptional=report.exceptional,
-        res_v=rdict["res_v"],
-        zero_coord=rdict["zero_coord"],
-        count_expected=d**n,
-    )
-    bins = histogram_bins
-    arg_hist = np.zeros(bins, dtype=np.int64)
-    mod_hist = np.zeros(bins + 2, dtype=np.int64)  # under/overflow bins at ends
-
-    if report.exceptional:
-        record.convention_delta = 1.0
-        timings.update(dict.fromkeys(("solve", "angle", "eta", "analyze"), 0.0))
-        return record, timings, arg_hist, mod_hist
-
-    t0 = time.perf_counter()
-    if n == 1:
-        cycle, diag = solve_univariate_cycle(system.polys[0])
-    else:
-        cycle, diag = solve_bivariate(system.polys[0], system.polys[1])
+    cycle, diag = solve_system(polys)
     timings["solve"] = time.perf_counter() - t0
 
+    record.count_expected = diag.count_expected
     record.count_found = diag.count_found
     record.max_residual = diag.max_residual
     record.count_mismatches = diag.cross_check_mismatches
     record.dropped = diag.dropped
-    if diag.count_found != d**n:
-        raise BoundViolationError(
+    if diag.count_found != diag.count_expected:
+        raise violation(
             f"non-exceptional system produced {diag.count_found} zeros, "
-            f"expected d^n = {d ** n}",
-            record.to_json_dict(),
-            bernoulli_system_to_dict(system),
+            f"expected its mixed volume {diag.count_expected}"
         )
 
     t0 = time.perf_counter()
-    if angle_mode == "grid":
-        record.delta_ang = angle_discrepancy(cycle, "grid", grid_size)
-        record.delta_ang_mode = f"grid({grid_size})"
-    else:
-        record.delta_ang = angle_discrepancy(cycle, "exact")
-        record.delta_ang_mode = "exact"
+    record.delta_ang = angle_discrepancy(cycle, angle_mode, grid_size)
+    record.delta_ang_mode = f"grid({grid_size})" if angle_mode == "grid" else "exact"
     timings["angle"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     # at n = 2 the solver's count is the mixed volume of the supports
     eta_rep = erdos_turan_size(
-        system, report=report, d_mv=diag.count_expected if n == 2 else None
+        polys, report=report, d_mv=diag.count_expected if n == 2 else None
     )
     timings["eta"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     record.convention_delta = record.delta_ang
     record.b_rad = {}
-    record.delta_rad = {
-        repr(e): radius_discrepancy(cycle, e) for e in epsilons
-    }
+    record.delta_rad = {repr(e): radius_discrepancy(cycle, e) for e in epsilons}
     record.eta = eta_rep.eta
     record.eta_upper = eta_rep.eta_upper
     violations = []
@@ -330,36 +305,60 @@ def run_trial(
         )
     record.violations = violations
     record.box_counts = [box_count(cycle, b) for b in box_probes]
+    if violations:
+        raise violation("; ".join(violations))
+    return cycle, diag, eta_rep
 
+
+def run_trial(config: ExperimentConfig, d: int, trial: int):
+    """One pure trial.  Returns (record, timings, arg_hist, mod_hist)."""
+    n, seed, bins = config.n, config.master_seed, config.histogram_bins
+    timings = {}
+    t0 = time.perf_counter()
+    system = sample_bernoulli_system(n, d, seed, trial)
+    timings["sample"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    report = classify_exceptional(system)
+    timings["classify"] = time.perf_counter() - t0
+
+    record = TrialRecord.classified(n, d, seed, trial, report)
+    arg_hist = np.zeros(bins, dtype=np.int64)
+    mod_hist = np.zeros(bins + 2, dtype=np.int64)  # under/overflow bins at ends
+
+    if report.exceptional:
+        record.convention_delta = 1.0
+        timings.update(dict.fromkeys(("solve", "angle", "eta", "analyze"), 0.0))
+        return record, timings, arg_hist, mod_hist
+
+    t0 = time.perf_counter()
+    cycle, _, _ = measure_system(
+        system.polys, report, record, timings, epsilons=config.epsilons,
+        angle_mode=config.angle_mode, grid_size=config.grid_size,
+        box_probes=config.box_probes,
+    )
     _, mod_edges = _histogram_edges(bins)
     np.add.at(arg_hist, argument_bins(arguments(cycle), bins).ravel(), 1)
     mods = np.abs(cycle.coords_array()).ravel()
-    mk = np.searchsorted(mod_edges, mods, side="left")
-    np.add.at(mod_hist, mk, 1)
-    timings["analyze"] = time.perf_counter() - t0
-
-    if violations:
-        raise BoundViolationError(
-            "; ".join(violations),
-            record.to_json_dict(),
-            bernoulli_system_to_dict(system),
-        )
+    np.add.at(mod_hist, np.searchsorted(mod_edges, mods, side="left"), 1)
+    # the rest of the measurement: radii, bounds, box counts, histograms
+    timings["analyze"] = time.perf_counter() - t0 - sum(
+        timings[k] for k in ("solve", "angle", "eta")
+    )
     return record, timings, arg_hist, mod_hist
 
 
-def _run_trial_tuple(args):
-    return run_trial(*args)
-
-
-def _trial_results(jobs, parallelism: int):
-    """Trial results in job order, each yielded as soon as it is ready."""
-    if parallelism > 1:
+def _trial_results(config: ExperimentConfig, d: int):
+    """Results of the trials of degree d in trial order, each yielded as
+    soon as it is ready."""
+    jobs = (repeat(config), repeat(d), range(config.trials_per_degree))
+    if config.parallelism > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~15 ms to import
 
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            yield from pool.map(_run_trial_tuple, jobs, chunksize=8)
+        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+            yield from pool.map(run_trial, *jobs, chunksize=8)
     else:
-        yield from map(_run_trial_tuple, jobs)
+        yield from map(run_trial, *jobs)
 
 
 @dataclass
@@ -500,21 +499,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for d in config.degrees:
             arg_total = None
             mod_total = None
-            jobs = [
-                (
-                    config.n,
-                    d,
-                    t,
-                    config.master_seed,
-                    tuple(config.epsilons),
-                    config.angle_mode,
-                    config.grid_size,
-                    tuple(config.box_probes),
-                    config.histogram_bins,
-                )
-                for t in range(config.trials_per_degree)
-            ]
-            for rec, tms, ah, mh in _trial_results(jobs, config.parallelism):
+            for rec, tms, ah, mh in _trial_results(config, d):
                 records.append(rec)
                 timings.append((d, rec.trial, tms))
                 arg_total = ah if arg_total is None else arg_total + ah

@@ -39,7 +39,13 @@ import numpy as np
 
 from .lattice import mixed_volume
 from .polynomials import IntPolynomial, sup_norm_upper, univariate_coeffs
-from .resultants import eliminant_bivariate, poly_primitive, roots_structure, trim
+from .resultants import (
+    UnsupportedDimensionError,
+    eliminant_bivariate,
+    poly_primitive,
+    roots_structure,
+    trim,
+)
 
 
 class SolverError(RuntimeError):
@@ -759,3 +765,13 @@ def solve_bivariate(f1: IntPolynomial, f2: IntPolynomial):
         warnings=tuple(warnings),
     )
     return cycle, diag
+
+
+def solve_system(polys):
+    """(ZeroCycle, SolveDiagnostics) of n = 1 or n = 2 polynomials in as
+    many variables; raises UnsupportedDimensionError for n >= 3."""
+    if len(polys) == 1:
+        return solve_univariate_cycle(polys[0])
+    if len(polys) == 2:
+        return solve_bivariate(*polys)
+    raise UnsupportedDimensionError("solving is implemented for n in {1, 2}")

@@ -42,10 +42,23 @@ def suite_n2(tmp_path_factory):
 
 
 @pytest.fixture
-def mixed_volume_calls(monkeypatch):
-    """A list that grows by one per `lattice.mixed_volume` call.  The
-    counting wrapper replaces the function in every polytorus module that
-    holds it, as a tracer spanning the package does."""
+def patch_package(monkeypatch):
+    """patch(original, replacement) replaces `original` in every polytorus
+    module that holds it, as a tracer spanning the package does."""
+
+    def patch(original, replacement):
+        for name, mod in list(sys.modules.items()):
+            if name == "polytorus" or name.startswith("polytorus."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, replacement)
+
+    return patch
+
+
+@pytest.fixture
+def mixed_volume_calls(patch_package):
+    """A list that grows by one per `lattice.mixed_volume` call."""
     original = lattice.mixed_volume
     calls = []
 
@@ -53,9 +66,5 @@ def mixed_volume_calls(monkeypatch):
         calls.append(1)
         return original(qs)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "polytorus" or name.startswith("polytorus."):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    patch_package(original, counted)
     return calls

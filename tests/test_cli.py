@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+import polytorus.discrepancy as discrepancy
+import polytorus.solver as solver
 from polytorus.cli import main
-from polytorus.experiment import run_trial
-from polytorus.solver import RESIDUAL_TOL
+from polytorus.experiment import ExperimentConfig, run_trial
+from polytorus.solver import RESIDUAL_TOL, ZeroCycle
 
 
 def test_sample_writes_system(tmp_path, capsys):
@@ -78,16 +81,61 @@ def test_analyze_text_and_json(capsys):
     assert "eta" in obj and "delta_rad" in obj
 
 
+ANALYZE_TRIAL_3 = ["analyze", "--n", "2", "--d", "4", "--seed", "1", "--trial", "3"]
+
+
 def test_analyze_eta_matches_the_trial_record(capsys, mixed_volume_calls):
-    rec, _, _, _ = run_trial(2, 4, 3, 1, (0.1,), "grid", 64, (), 16)
+    # analyze measures through the trial's own function: every field the
+    # two share is the same value, and the mixed volume is computed once
+    cfg = ExperimentConfig(n=2, degrees=(4,), trials_per_degree=4, epsilons=(0.1,),
+                           angle_mode="grid", grid_size=64, histogram_bins=16)
+    rec, _, _, _ = run_trial(cfg, 4, 3)
     assert not rec.exceptional
     mixed_volume_calls.clear()
-    rc = main(["analyze", "--n", "2", "--d", "4", "--seed", "1", "--trial", "3",
-               "--format", "json"])
+    rc = main(ANALYZE_TRIAL_3 + ["--angle-mode", "grid", "--grid", "64", "--format", "json"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
+    diag = out["cycle"]["diagnostics"]
+    assert out["delta_ang"] == rec.delta_ang
+    assert out["delta_rad"] == rec.delta_rad
     assert out["eta"]["eta"] == rec.eta
+    assert out["eta"]["eta_upper"] == rec.eta_upper
+    assert out["bounds"] == {"b_ang": rec.b_ang, "b_rad": rec.b_rad}
+    assert diag["count_found"] == rec.count_found == 16
+    assert diag["max_residual"] == rec.max_residual
     assert len(mixed_volume_calls) == 1
+
+
+def test_analyze_checks_the_bounds(tmp_path, monkeypatch, capsys, patch_package):
+    patch_package(discrepancy.discrepancy_bounds, lambda eta, n, eps: (0.0, 0.0))
+    monkeypatch.chdir(tmp_path)
+    rc = main(ANALYZE_TRIAL_3)
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("BOUND VIOLATION (theorem failure): ")
+    assert "exceeds bound 0.0" in captured.err and "Traceback" not in captured.err
+    dump = json.loads((tmp_path / "violation_dump.json").read_text())
+    assert dump["record"]["trial"] == 3 and dump["record"]["violations"]
+    assert dump["system"]["polys"] and dump["system"]["seed"] == 1
+
+
+def test_analyze_checks_the_zero_count(tmp_path, monkeypatch, capsys, patch_package):
+    original = solver.solve_bivariate
+
+    def one_short(f1, f2):
+        cycle, diag = original(f1, f2)
+        cycle = ZeroCycle(cycle.dim, cycle.points[1:], cycle.residual_threshold)
+        return cycle, dataclasses.replace(diag, count_found=cycle.degree)
+
+    patch_package(original, one_short)
+    monkeypatch.chdir(tmp_path)
+    rc = main(ANALYZE_TRIAL_3)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "produced 15 zeros, expected its mixed volume 16" in err
+    dump = json.loads((tmp_path / "violation_dump.json").read_text())
+    assert dump["record"]["count_found"] == 15
 
 
 def test_analyze_grid_of_a_million_bins(capsys):
@@ -149,6 +197,9 @@ def test_config_error_exit_code(capsys):
     assert rc == 2
     rc = main(["experiment"])
     assert rc == 2
+    # --parallelism 0 is refused, not run as 1
+    rc = main(["experiment", "--n", "2", "--d", "2", "--trials", "1", "--parallelism", "0"])
+    assert rc == 2
 
 
 @pytest.mark.parametrize(
@@ -175,6 +226,28 @@ def test_seed_and_trial_outside_64_bits_exit_2(tmp_path, capsys, argv):
     assert "config error:" in err and "Traceback" not in err
     assert out == ""
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "over, named",
+    [({"epsilons": []}, "epsilons"), ({"out_dir": 5}, "out_dir"),
+     ({"angle-mode": "grid"}, "unknown keys: angle-mode")],
+    ids=["no-epsilons", "out-dir-not-a-string", "unknown-key"],
+)
+def test_experiment_refuses_config_it_would_crash_on_or_ignore(tmp_path, monkeypatch,
+                                                               capsys, over, named):
+    # refused before any file is written: not a TypeError in the run, and
+    # not a run that goes on in exact mode
+    cfg = {"n": 2, "degrees": [2], "trials_per_degree": 1, "out_dir": "run", **over}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    rc = main(["experiment", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert named in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_experiment_rejects_non_integer_inputs(tmp_path, capsys):
@@ -364,6 +437,14 @@ def test_bad_system_file_exits_2(tmp_path, capsys, command, system):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_solve_n3_exits_2(tmp_path, capsys):
+    path = tmp_path / "n3.json"
+    path.write_text(json.dumps(BAD_SYSTEMS["n3"]))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: solving is implemented for n in {1, 2}\n"
 
 
 def test_violation_dump_goes_to_run_dir(tmp_path, monkeypatch, capsys):

@@ -105,8 +105,7 @@ def test_trial_record_fields_exceptional_vs_not(tmp_path):
     found = {True: None, False: None}
     t = 0
     while (found[True] is None or found[False] is None) and t < 200:
-        rec, _, _, _ = run_trial(2, 2, t, 5, (0.1,), "grid", 16,
-                                 tuple(cfg.box_probes), 16)
+        rec, _, _, _ = run_trial(cfg, 2, t)
         if found[rec.exceptional] is None:
             found[rec.exceptional] = rec
         t += 1
@@ -123,7 +122,9 @@ def test_trial_record_fields_exceptional_vs_not(tmp_path):
 
 
 def test_record_json_roundtrip(tmp_path):
-    rec, _, _, _ = run_trial(1, 20, 0, 9, (0.1,), "exact", 16, (), 16)
+    cfg = tiny_config(tmp_path, n=1, degrees=[20], master_seed=9,
+                      angle_mode="exact", box_probes=[])
+    rec, _, _, _ = run_trial(cfg, 20, 0)
     obj = json.loads(json.dumps(rec.to_json_dict()))
     back = TrialRecord.from_json_dict(obj)
     assert back == rec
@@ -170,7 +171,7 @@ def test_one_mixed_volume_per_solved_trial(tmp_path, monkeypatch, mixed_volume_c
     assert all(calls == (0 if exc else 1) for exc, calls in per_trial)
 
 
-def test_support_hull_built_once_per_trial(monkeypatch):
+def test_support_hull_built_once_per_trial(tmp_path, monkeypatch):
     # the classifier, the solver and eta share each polynomial's hull, and
     # every trial of one degree shares the hull of its full support: it is
     # built once, in the first trial of the degree
@@ -183,10 +184,11 @@ def test_support_hull_built_once_per_trial(monkeypatch):
 
     monkeypatch.setattr(polynomials, "convex_hull", counted)
     polynomials._support_hull.cache_clear()
+    cfg = tiny_config(tmp_path, degrees=[2, 4], box_probes=[])
     seen = set()
     for d, t in [(2, 0), (2, 2), (4, 0), (4, 1)]:
         built.clear()
-        rec, _, _, _ = run_trial(2, d, t, 5, (0.1,), "grid", 16, (), 16)
+        rec, _, _, _ = run_trial(cfg, d, t)
         seen.add(rec.exceptional)
         full = tuple(sorted(e for e, _ in sample_bernoulli_system(2, d, 5, t).polys[0].terms))
         assert [tuple(sorted(b)) for b in built] == ([full] if t == 0 else [])
@@ -376,14 +378,14 @@ def test_histogram_totals(tmp_path):
 
 
 def test_records_reach_disk_before_a_trial_fails(tmp_path, monkeypatch):
-    real = experiment._run_trial_tuple
+    real = experiment.run_trial
 
-    def failing(job):
-        if job[2] == 3:
+    def failing(config, d, trial):
+        if trial == 3:
             raise RuntimeError("trial 3 fails")
-        return real(job)
+        return real(config, d, trial)
 
-    monkeypatch.setattr(experiment, "_run_trial_tuple", failing)
+    monkeypatch.setattr(experiment, "run_trial", failing)
     cfg = tiny_config(tmp_path, degrees=[2])
     with pytest.raises(RuntimeError, match="trial 3 fails"):
         run_experiment(cfg)
