@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .discrepancy import DiscrepancyError, ExactModeTooLarge
+from .discrepancy import DiscrepancyError
 from .experiment import (
     BoundViolationError,
     ClassifierMismatchError,
@@ -32,6 +32,7 @@ from .experiment import (
     enumerate_d1,
     measure_system,
     run_experiment,
+    write_csv,
 )
 from .polynomials import (
     PolynomialError,
@@ -68,7 +69,7 @@ def _load_system(args):
 
 def _emit(obj, args):
     text = json.dumps(obj, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -76,8 +77,8 @@ def _emit(obj, args):
 
 
 def _cmd_sample(args):
-    system = sample_bernoulli_system(args.n, args.d, args.seed, args.trial)
-    _emit(system_to_dict(system.polys, system.n, system.d, system.seed, system.trial), args)
+    n, d, seed, trial, polys = _load_system(args)
+    _emit(system_to_dict(polys, n, d, seed, trial), args)
     return EXIT_OK
 
 
@@ -114,7 +115,7 @@ def _cmd_analyze(args):
         out["delta_rad"] = rec.delta_rad
         out["eta"] = eta_rep.to_dict()
         out["bounds"] = {"b_ang": rec.b_ang, "b_rad": rec.b_rad}
-    if args.format == "json" or args.out:
+    if args.format == "json" or args.out is not None:
         _emit(out, args)
     else:
         cls = out["classification"]
@@ -147,7 +148,7 @@ def _cmd_experiment(args):
                 "grid_size": args.grid,
             }
         )
-    if args.out:
+    if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     if args.parallelism is not None:
         cfg = replace(cfg, parallelism=args.parallelism)
@@ -173,14 +174,10 @@ def _cmd_experiment(args):
 def _cmd_enumerate_d1(args):
     rows, fraction = enumerate_d1()
     print(f"patterns: {len(rows)}  exceptional fraction: {fraction:.4f}")
-    if args.out:
-        import csv
-
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["a1", "b1", "c1", "a2", "b2", "c2", "exceptional", "reason"])
-            for r in rows:
-                w.writerow(list(r.signs) + [r.oracle_exceptional, r.reason])
+    if args.out is not None:
+        header = ["a1", "b1", "c1", "a2", "b2", "c2", "exceptional", "reason"]
+        write_csv(args.out, header, (list(r.signs) + [r.oracle_exceptional, r.reason]
+                                     for r in rows))
         print(f"table written to {args.out}")
     return EXIT_OK
 
@@ -203,6 +200,12 @@ def _eps_list(text):
     return tuple(float(x) for x in text.split(","))
 
 
+def _out_path(text):
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="polytorus", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--d", type=int, default=None)
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--trial", type=int, default=0)
-        sp.add_argument("--out", default=None)
+        sp.add_argument("--out", type=_out_path, default=None)
 
     sp = sub.add_parser("sample", help="draw a random sign system as JSON")
     add_system_opts(sp, with_file=False)
@@ -245,12 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=_eps_list, default=(0.1, 0.2))
     sp.add_argument("--angle-mode", choices=["exact", "grid"], default="exact")
     sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--out", type=_out_path, default=None)
     sp.add_argument("--parallelism", type=int, default=None)
     sp.set_defaults(func=_cmd_experiment)
 
     sp = sub.add_parser("enumerate-d1", help="exhaustive degree-1 classification table")
-    sp.add_argument("--out", default=None, help="write the table as CSV")
+    sp.add_argument("--out", type=_out_path, default=None, help="write the table as CSV")
     sp.set_defaults(func=_cmd_enumerate_d1)
 
     sp = sub.add_parser("report", help="emit plot-ready files from a run directory")
@@ -270,7 +273,6 @@ def main(argv=None) -> int:
         ConfigError,
         PolynomialError,
         DiscrepancyError,
-        ExactModeTooLarge,
         UnsupportedDimensionError,
         DegenerateSystemError,
     ) as exc:

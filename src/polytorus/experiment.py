@@ -124,8 +124,8 @@ class ExperimentConfig:
             )
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
-        if self.out_dir is not None and type(self.out_dir) is not str:
-            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        if self.out_dir is not None and (type(self.out_dir) is not str or not self.out_dir):
+            raise ConfigError(f"out_dir must be a nonempty string, got {self.out_dir!r}")
         if self.histogram_bins < 2:
             raise ConfigError("histogram_bins must be >= 2")
         for b in self.box_probes:
@@ -483,6 +483,15 @@ def _record_line(rec: TrialRecord) -> str:
     return json.dumps(rec.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def write_csv(path: str, header, rows) -> str:
+    """Write a header line and then the rows as one CSV file; returns path."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
     out_dir = config.out_dir
@@ -516,12 +525,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if out_dir:
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary.to_dict(), fh, sort_keys=True, indent=1)
-        with open(os.path.join(out_dir, "timings.csv"), "w", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            phases = ("sample", "classify", "solve", "angle", "eta", "analyze")
-            w.writerow(["d", "trial", *phases])
-            for d, t, tms in timings:
-                w.writerow([d, t] + [f"{tms.get(k, 0.0):.6f}" for k in phases])
+        phases = ("sample", "classify", "solve", "angle", "eta", "analyze")
+        rows = ([d, t] + [f"{tms.get(k, 0.0):.6f}" for k in phases] for d, t, tms in timings)
+        write_csv(os.path.join(out_dir, "timings.csv"), ["d", "trial", *phases], rows)
     return ExperimentResult(
         config=config, records=records, summary=summary, timings=timings
     )
@@ -602,7 +608,6 @@ def emit_report(out_dir: str, fmt: str = "csv", histograms: bool = False):
     spath = os.path.join(out_dir, "summary.json")
     with open(spath, "r", encoding="utf-8") as fh:
         summary = json.load(fh)
-    written = []
     cfg = summary["config"]
     epsilons = cfg["epsilons"]
     if fmt == "json":
@@ -612,49 +617,30 @@ def emit_report(out_dir: str, fmt: str = "csv", histograms: bool = False):
         return [path]
     if fmt != "csv":
         raise ConfigError(f"unknown report format {fmt!r}")
-    path = os.path.join(out_dir, "summary.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["d", "trials", "exceptional_rate", "mean_delta_ang"]
-        header += [f"mean_delta_rad_eps{e}" for e in epsilons]
-        header += ["mean_eta", "violations"]
-        w.writerow(header)
-        for row in summary["per_degree"]:
-            out = [row["d"], row["trials"], row["exceptional_rate"], row["mean_delta_ang"]]
-            out += [row["mean_delta_rad"].get(repr(e)) for e in epsilons]
-            out += [row["mean_eta"], row["violations"]]
-            w.writerow(out)
-    written.append(path)
+    per_degree = summary["per_degree"]
+    header = ["d", "trials", "exceptional_rate", "mean_delta_ang"]
+    header += [f"mean_delta_rad_eps{e}" for e in epsilons]
+    header += ["mean_eta", "violations"]
+    rows = ([row["d"], row["trials"], row["exceptional_rate"], row["mean_delta_ang"]]
+            + [row["mean_delta_rad"].get(repr(e)) for e in epsilons]
+            + [row["mean_eta"], row["violations"]] for row in per_degree)
+    written = [write_csv(os.path.join(out_dir, "summary.csv"), header, rows)]
     if cfg["box_probes"]:
+        rows = ([i, row["d"], est, row["box_haar"][i]]
+                for row in per_degree for i, est in enumerate(row["box_estimates"]))
         path = os.path.join(out_dir, "boxprobes.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["box", "d", "estimate", "haar"])
-            for row in summary["per_degree"]:
-                for i, est in enumerate(row["box_estimates"]):
-                    w.writerow([i, row["d"], est, row["box_haar"][i]])
-        written.append(path)
+        written.append(write_csv(path, ["box", "d", "estimate", "haar"], rows))
     if histograms:
         bins = cfg["histogram_bins"]
         arg_edges, mod_edges = _histogram_edges(bins)
-        path = os.path.join(out_dir, "histogram_args.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["d", "bin_lo", "bin_hi", "count"])
-            for row in summary["per_degree"]:
-                for k, c in enumerate(row["arg_hist"]):
-                    w.writerow([row["d"], arg_edges[k], arg_edges[k + 1], c])
-        written.append(path)
-        path = os.path.join(out_dir, "histogram_moduli.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["d", "bin_lo", "bin_hi", "count"])
-            for row in summary["per_degree"]:
-                for k, c in enumerate(row["mod_hist"]):
-                    lo = 0.0 if k == 0 else mod_edges[k - 1]
-                    hi = math.inf if k == bins + 1 else mod_edges[k]
-                    w.writerow([row["d"], lo, hi, c])
-        written.append(path)
+        header = ["d", "bin_lo", "bin_hi", "count"]
+        rows = ([row["d"], arg_edges[k], arg_edges[k + 1], c]
+                for row in per_degree for k, c in enumerate(row["arg_hist"]))
+        written.append(write_csv(os.path.join(out_dir, "histogram_args.csv"), header, rows))
+        rows = ([row["d"], 0.0 if k == 0 else mod_edges[k - 1],
+                 math.inf if k == bins + 1 else mod_edges[k], c]
+                for row in per_degree for k, c in enumerate(row["mod_hist"]))
+        written.append(write_csv(os.path.join(out_dir, "histogram_moduli.csv"), header, rows))
     return written
 
 

@@ -284,9 +284,3 @@ def system_from_dict(obj: dict):
             f"system file says d={d}, but its largest total degree is {max(degrees)}"
         )
     return n, d, obj.get("seed"), obj.get("trial"), tuple(polys)
-
-
-def bernoulli_system_to_dict(system: BernoulliSystem) -> dict:
-    return system_to_dict(
-        system.polys, system.n, system.d, seed=system.seed, trial=system.trial
-    )

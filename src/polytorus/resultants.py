@@ -25,9 +25,9 @@ past the interpolation range, where the eliminant must equal the exact
 big-int resultant.
 
 Square-free structure, the solver's fallback where its inclusion disks
-touch, is certified by the same remainder sequence modulo 2^31 - 1,
-polynomials of one degree as columns of one run; a "maybe" falls back to
-exact Yun decomposition.
+touch, is certified one polynomial at a time by the same remainder
+sequence modulo 2^31 - 1; a "maybe" falls back to exact Yun
+decomposition.
 
 On top of these sits the exceptional-set classifier.  At each facet
 normal of the Minkowski sum of the supports it takes the directional
@@ -340,28 +340,22 @@ def _euclid_mod(a, b, pv):
     return steps, b[0], lost
 
 
-def _certify_squarefree(polys) -> list:
-    """Per integer polynomial, True only with proof that it is square-free:
+def _certify_squarefree(p) -> bool:
+    """True only with proof that the integer polynomial p is square-free:
     gcd(p, p') is constant modulo 2^31 - 1, which keeps the leading
     coefficient.  False means "maybe not".
 
-    The polynomials of each degree are the columns of one `_euclid_mod`
-    run; a column that leaves the common degree sequence stays uncertified.
+    p is the one column of a `_euclid_mod` run; a column that leaves the
+    degree sequence (the prime divides a leading coefficient) stays
+    uncertified.
     """
-    out = [len(p) == 2 for p in polys]
-    by_degree = {}
-    for i, p in enumerate(polys):
-        if len(p) > 2:
-            by_degree.setdefault(len(p), []).append(i)
+    if len(p) <= 2:
+        return len(p) == 2
     q = _SQFREE_PRIME
-    for width, idx in by_degree.items():
-        a = np.array([[c % q for c in polys[i]] for i in idx], dtype=np.int64).T
-        b = (a[1:] * np.arange(1, width)[:, None]) % q
-        _, last, lost = _euclid_mod(a, b, q)
-        if last is not None:
-            for i, ok in zip(idx, ~lost):
-                out[i] = bool(ok)
-    return out
+    a = np.array([[c % q] for c in p], dtype=np.int64)
+    b = (a[1:] * np.arange(1, len(p))[:, None]) % q
+    _, last, lost = _euclid_mod(a, b, q)
+    return last is not None and not lost[0]
 
 
 def squarefree_decomposition(p):
@@ -404,16 +398,14 @@ def _poly_sub(a, b):
     return trim(out)
 
 
-def roots_structure(*polys):
-    """Per integer polynomial, [(square-free primitive polynomial,
-    multiplicity), ...].  One batched certificate (`_certify_squarefree`)
-    covers all of them; only one it leaves uncertified takes the exact Yun
-    decomposition, which can take seconds at degree ~150."""
-    prims = [poly_primitive(p) for p in polys]
-    return [
-        [(p, 1)] if ok else squarefree_decomposition(p)
-        for p, ok in zip(prims, _certify_squarefree(prims))
-    ]
+def roots_structure(p):
+    """[(square-free primitive polynomial, multiplicity), ...] of an
+    integer polynomial.  The modular certificate (`_certify_squarefree`)
+    proves most polynomials square-free; only one it leaves uncertified
+    takes the exact Yun decomposition, which can take seconds at degree
+    ~150."""
+    p = poly_primitive(p)
+    return [(p, 1)] if _certify_squarefree(p) else squarefree_decomposition(p)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +456,17 @@ def _formal_resultant(c1, c2, m1: int, m2: int) -> int:
         sign = -1 if (m1 - k1) * m2 & 1 else 1
         return sign * t2[-1] ** (m1 - k1) * resultant_univariate(t1, t2)
     return t1[-1] ** (m2 - k2) * resultant_univariate(t1, t2)
+
+
+def _node_resultant(rows1, rows2, node: int) -> int:
+    """The exact `_formal_resultant` of two coefficient rows (as from
+    `_coeff_rows`) at one integer node of the other variable."""
+    return _formal_resultant(
+        [_eval_int(row, node) for row in rows1],
+        [_eval_int(row, node) for row in rows2],
+        len(rows1) - 1,
+        len(rows2) - 1,
+    )
 
 
 def _crt_primes(bound_sq: int) -> list:
@@ -568,18 +571,11 @@ def _resultants_mod(rows1, rows2, lo: int, count: int, primes) -> np.ndarray:
         values = (pv - values) % pv
     values = values.reshape(len(primes), count)
     for k in np.flatnonzero(short.reshape(len(primes), count).any(axis=0)):
-        node = lo + int(k)
-        exact = _formal_resultant(
-            [_eval_int(row, node) for row in rows1],
-            [_eval_int(row, node) for row in rows2],
-            m1,
-            m2,
-        )
+        exact = _node_resultant(rows1, rows2, lo + int(k))
         values[:, k] = [exact % q for q in primes]
     return values
 
 
-@functools.lru_cache(maxsize=64)
 def _inverse_factorials(primes: tuple, count: int) -> np.ndarray:
     """(count, P) int64: 1/k! modulo each prime, for k < count < p."""
     out = []
@@ -593,9 +589,7 @@ def _inverse_factorials(primes: tuple, count: int) -> np.ndarray:
             row[k] = inv
             inv = inv * k % q  # 1/(k-1)! = k/k!
         out.append(row)
-    table = np.array(out, dtype=np.int64).T.copy()
-    table.flags.writeable = False  # one cached array for every caller
-    return table
+    return np.array(out, dtype=np.int64).T
 
 
 @functools.lru_cache(maxsize=16)
@@ -703,9 +697,7 @@ def eliminant_bivariate(f1: IntPolynomial, f2: IntPolynomial, eliminate) -> list
     values = _resultants_mod(rows1, rows2, lo, count, primes)
     r = trim(_crt_symmetric(_interpolate(values, lo, primes), primes))
     node = lo + count
-    c1 = [_eval_int(row, node) for row in rows1]
-    c2 = [_eval_int(row, node) for row in rows2]
-    if _eval_int(r, node) != _formal_resultant(c1, c2, m1, m2):
+    if _eval_int(r, node) != _node_resultant(rows1, rows2, node):
         raise ComputationError(
             f"eliminant disagrees with the exact resultant at its check node {node}"
         )
@@ -759,7 +751,6 @@ class DirectionalReport:
     hyperplane carries a common zero).
     """
 
-    system_label: str
     entries: tuple
     zero_coordinate_flags: tuple
     exceptional: bool
@@ -783,7 +774,7 @@ def _common_root_on_axis(polys, axis: int, resultant) -> bool:
     return resultant(r1, r2) == 0
 
 
-def classify_exceptional(system, label: str = "") -> DirectionalReport:
+def classify_exceptional(system) -> DirectionalReport:
     """Exact membership test for the exceptional set.
 
     Computes every facet directional resultant and, per coordinate, the
@@ -798,8 +789,6 @@ def classify_exceptional(system, label: str = "") -> DirectionalReport:
         raise UnsupportedDimensionError(
             f"classifier implemented for n in {{1, 2}}, got n={n}"
         )
-    if not label and isinstance(system, BernoulliSystem):
-        label = f"n{system.n}-d{system.d}-s{system.seed}-t{system.trial}"
     if n == 1:
         f = polys[0]
         exps = [e for (e,), _ in f.terms]
@@ -819,7 +808,6 @@ def classify_exceptional(system, label: str = "") -> DirectionalReport:
         zero_flags = tuple(_common_root_on_axis(polys, ax, resultant) for ax in range(2))
     exceptional = any(e.is_zero for e in entries) or any(zero_flags)
     return DirectionalReport(
-        system_label=label,
         entries=tuple(entries),
         zero_coordinate_flags=zero_flags,
         exceptional=exceptional,

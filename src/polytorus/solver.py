@@ -14,8 +14,8 @@ correction is below ABERTH_TOL or its value is at the rounding floor of
 the power sum (`_aberth_batch`); a root flagged unconverged met neither
 test.  `_root_multisets` turns those roots into distinct roots with
 exact multiplicities, for n = 1 and both eliminants at n = 2: pairwise
-disjoint Newton inclusion disks prove them simple, and only where the
-disks touch does the exact square-free structure decide.  Bivariate
+disjoint Newton inclusion disks prove them simple, and only a polynomial
+whose disks touch takes its own exact square-free structure.  Bivariate
 systems are solved through both exact eliminants, without
 back-substitution: the roots of Res_x (the y coordinates) and of Res_y
 (the x coordinates) are paired by their scaled residual and polished by
@@ -416,18 +416,19 @@ def _root_multisets(named):
     Aberth runs on the primitive polynomial (`roots_univariate`), whose
     exact zero roots merge into one.  If every root converged and the
     inclusion disks of the others (`_inclusion_radii`) are pairwise
-    disjoint, each disk holds exactly one root: all are simple.  The rest
-    take one batched `roots_structure`, with a warning: proven
-    square-free, a polynomial keeps its roots; split by Yun, it is solved
-    factor by factor.
+    disjoint, each disk holds exactly one root: all are simple.  A
+    polynomial whose disks fail takes its own `roots_structure` there and
+    then, with a warning: proven square-free, it keeps its roots; split by
+    Yun, it is solved factor by factor.
 
     Returns ([(roots, multiplicities, residuals)] per polynomial, Aberth
-    sweeps, isolation radius, warnings).  A residual is |p(z)| / ||a||_1
-    on the root's side of the unit circle; the isolation radius is the
-    largest disk radius relative to max(1, |z|), or None unless the disks
-    proved every polynomial.
+    sweeps, isolation radius, warnings: those of the disks, then those of
+    unconverged roots).  A residual is |p(z)| / ||a||_1 on the root's side
+    of the unit circle; the isolation radius is the largest disk radius
+    relative to max(1, |z|), or None unless the disks proved every
+    polynomial.
     """
-    found, failed, sweeps, radius, warnings = [], [], 0, 0.0, []
+    out, sweeps, radius, warnings, unconverged = [], 0, 0.0, [], []
     for name, coeffs in named:
         prim = poly_primitive(coeffs)
         res = roots_univariate(prim)
@@ -436,34 +437,30 @@ def _root_multisets(named):
         keep = ~zero
         keep[np.flatnonzero(zero)[:1]] = True
         roots, mults = res.roots[keep], np.where(zero, nzero, 1)[keep]
-        scaled = res.coeffs
-        r, p = _inclusion_radii(scaled, roots)
+        converged = res.converged
+        r, p = _inclusion_radii(res.coeffs, roots)
         sweeps += res.sweeps
-        if res.converged.all() and zero.sum() == nzero and _disjoint(roots, r):
-            radius = max(radius, float(np.max(r / np.maximum(np.abs(roots), 1.0))))
+        if converged.all() and zero.sum() == nzero and _disjoint(roots, r):
+            if radius is not None:
+                radius = max(radius, float(np.max(r / np.maximum(np.abs(roots), 1.0))))
         else:
-            failed.append(len(found))
+            radius = None
             warnings.append(
                 f"the inclusion disks of {name} did not isolate its roots: "
                 "multiplicities from its exact square-free structure"
             )
-        found.append([roots, mults, p, res.converged, name, prim, scaled])
-    structures = roots_structure(*(found[k][5] for k in failed)) if failed else []
-    for k, structure in zip(failed, structures):
-        if structure == [(found[k][5], 1)]:
-            continue  # proven square-free: the roots stay
-        runs = [roots_univariate(f) for f, _ in structure]
-        sweeps += sum(res.sweeps for res in runs)
-        roots = np.concatenate([res.roots for res in runs])
-        mults = np.repeat([m for _, m in structure], [len(res.roots) for res in runs])
-        converged = np.concatenate([res.converged for res in runs])
-        found[k][:4] = roots, mults, _inclusion_radii(found[k][6], roots)[1], converged
-    out = []
-    for roots, mults, p, converged, name, _, scaled in found:
+            structure = roots_structure(prim)
+            if structure != [(prim, 1)]:  # split by Yun: solved factor by factor
+                runs = [roots_univariate(f) for f, _ in structure]
+                sweeps += sum(run.sweeps for run in runs)
+                roots = np.concatenate([run.roots for run in runs])
+                mults = np.repeat([m for _, m in structure], [len(run.roots) for run in runs])
+                converged = np.concatenate([run.converged for run in runs])
+                p = _inclusion_radii(res.coeffs, roots)[1]
         if not converged.all():
-            warnings.append(f"{int((~converged).sum())} roots of {name} unconverged")
-        out.append((roots, mults, np.abs(p) / np.abs(scaled).sum()))
-    return out, sweeps, None if failed else radius, warnings
+            unconverged.append(f"{int((~converged).sum())} roots of {name} unconverged")
+        out.append((roots, mults, np.abs(p) / np.abs(res.coeffs).sum()))
+    return out, sweeps, radius, warnings + unconverged
 
 
 # ---------------------------------------------------------------------------

@@ -231,8 +231,8 @@ def test_seed_and_trial_outside_64_bits_exit_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "over, named",
     [({"epsilons": []}, "epsilons"), ({"out_dir": 5}, "out_dir"),
-     ({"angle-mode": "grid"}, "unknown keys: angle-mode")],
-    ids=["no-epsilons", "out-dir-not-a-string", "unknown-key"],
+     ({"out_dir": ""}, "out_dir"), ({"angle-mode": "grid"}, "unknown keys: angle-mode")],
+    ids=["no-epsilons", "out-dir-not-a-string", "out-dir-empty", "unknown-key"],
 )
 def test_experiment_refuses_config_it_would_crash_on_or_ignore(tmp_path, monkeypatch,
                                                                capsys, over, named):
@@ -248,6 +248,46 @@ def test_experiment_refuses_config_it_would_crash_on_or_ignore(tmp_path, monkeyp
     assert err.startswith("config error:") and "Traceback" not in err
     assert named in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample"], ["sample", "--n", "2"], ["sample", "--d", "3"], ["classify"], ["solve"],
+     ["analyze"], ["experiment", "--n", "2"]],
+    ids=["sample", "sample-no-d", "sample-no-n", "classify", "solve", "analyze",
+         "experiment"],
+)
+def test_no_system_input_exits_2(capsys, argv):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", "--n", "1", "--d", "3"], ["classify", "--n", "1", "--d", "3"],
+     ["solve", "--n", "1", "--d", "3"], ["analyze", "--n", "1", "--d", "3"],
+     ["enumerate-d1"], ["experiment", "--config", "cfg.json"],
+     ["experiment", "--config", "cfg-out.json"],
+     ["experiment", "--n", "1", "--d", "3", "--trials", "1"]],
+    ids=["sample", "classify", "solve", "analyze", "enumerate-d1",
+         "experiment-config", "experiment-config-out-dir", "experiment-flags"],
+)
+def test_empty_out_path_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # refused before anything runs: not printed to stdout, not skipped,
+    # and not a run that writes nothing or writes to the config's out_dir
+    cfg = {"n": 1, "degrees": [3], "trials_per_degree": 1}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    (tmp_path / "cfg-out.json").write_text(json.dumps({**cfg, "out_dir": "run"}))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", ""])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "argument --out: an empty path names no file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg-out.json", "cfg.json"]
 
 
 def test_experiment_rejects_non_integer_inputs(tmp_path, capsys):

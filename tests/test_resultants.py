@@ -207,8 +207,9 @@ def test_squarefree_decomposition():
 
 def test_roots_structure_fast_path():
     sq = poly_mul([-1, 1], [-1, 1])
-    assert roots_structure([-1, 0, 1], sq, [5]) == [[([-1, 0, 1], 1)], [([-1, 1], 2)], []]
-    assert roots_structure() == []
+    assert roots_structure([-1, 0, 1]) == [([-1, 0, 1], 1)]
+    assert roots_structure(sq) == [([-1, 1], 2)]
+    assert roots_structure([5]) == []
 
 
 def test_certificate_int64_bound():
@@ -221,14 +222,14 @@ def test_certificate_rejects_square_factors():
     for _ in range(200):
         p = random_poly(rng, rng.randint(1, 12), -99, 99)
         q = random_poly(rng, rng.randint(1, 6), -99, 99)
-        assert res._certify_squarefree([poly_mul(p, poly_mul(q, q))]) == [False]
+        assert res._certify_squarefree(poly_mul(p, poly_mul(q, q))) is False
 
 
 def _gcd_degree_mod(a, b, p):
     """Degree of gcd(a, b) over F_p, or None when a leading coefficient
     vanishes modulo p: Euclid on int64 vectors, the divisor made monic at
-    every step.  The single-polynomial certificate that the batched
-    remainder sequence replaced, kept as its oracle."""
+    every step.  An independent single-polynomial certificate, kept as
+    the oracle of the fraction-free remainder sequence."""
     am = np.array([c % p for c in a], dtype=np.int64)
     bm = np.array([c % p for c in b], dtype=np.int64)
     if not am.size or am[-1] == 0 or not bm.size or bm[-1] == 0:
@@ -258,8 +259,8 @@ def _oracle_certified(p) -> bool:
 
 
 def test_batched_certificate_agrees_with_yun_on_planted_pairs():
-    # p q, p2 q^2 and p2 q of many degrees in one batch: the polynomials of
-    # each degree, square-free or not, are the columns of one run
+    # p q, p2 q^2 and p2 q of many degrees, many of them sharing a degree,
+    # square-free or not, each certified alone
     rng = random.Random(17)
     batch, square_free = [], []
     for _ in range(60):
@@ -269,26 +270,27 @@ def test_batched_certificate_agrees_with_yun_on_planted_pairs():
         for f in (poly_mul(p, q), poly_mul(p2, poly_mul(q, q)), poly_mul(p2, q)):
             batch.append(f)
             square_free.append(poly_gcd(f, poly_derivative(f)) == [1])
-    assert len({len(f) for f in batch}) < len(batch) // 4  # the columns share degrees
-    verdicts = res._certify_squarefree(batch)
+    assert len({len(f) for f in batch}) < len(batch) // 4  # many share a degree
+    verdicts = [res._certify_squarefree(f) for f in batch]
     assert sum(verdicts) >= 100
     assert not any(v and not sf for v, sf in zip(verdicts, square_free))
     assert verdicts == [_oracle_certified(f) for f in batch]
-    assert roots_structure(*batch) == [squarefree_decomposition(f) for f in batch]
+    assert [roots_structure(f) for f in batch] == [squarefree_decomposition(f) for f in batch]
 
 
 def test_certificate_unusable_prime_falls_back_to_yun(monkeypatch):
     # the prime divides the leading coefficient: "maybe", then exact Yun,
-    # for that column only
+    # for that polynomial only
     squarefree = [1, 3, 0, 5 * _SQFREE_PRIME]
     squared = poly_mul(poly_mul([-1, 1], [-1, 1]), [1, _SQFREE_PRIME])
     plain = [1, 3, 0, 5]
-    assert res._certify_squarefree([squarefree, squared, plain]) == [False, False, True]
+    polys = (squarefree, squared, plain)
+    assert [res._certify_squarefree(f) for f in polys] == [False, False, True]
     yun = []
     monkeypatch.setattr(
         res, "squarefree_decomposition", lambda f: yun.append(f) or squarefree_decomposition(f)
     )
-    assert roots_structure(squarefree, squared, plain) == [
+    assert [roots_structure(f) for f in polys] == [
         [(squarefree, 1)],
         [([1, _SQFREE_PRIME], 1), ([-1, 1], 2)],
         [(plain, 1)],
@@ -297,8 +299,8 @@ def test_certificate_unusable_prime_falls_back_to_yun(monkeypatch):
 
 
 def test_certificate_is_a_proof_on_the_default_suite():
-    # every eliminant the n=2 default suite solves at d <= 6, both of a
-    # trial in one batch, with the verdicts of the single-polynomial oracle
+    # every eliminant the n=2 default suite solves at d <= 6, with the
+    # verdicts of the single-polynomial oracle
     cfg = json.load(open(CONFIG_DIR / "default_suite_n2.json"))
     certified = 0
     for d in (4, 6):
@@ -306,7 +308,7 @@ def test_certificate_is_a_proof_on_the_default_suite():
         for t in range(cfg["trials_per_degree"]):
             s = sample_bernoulli_system(2, d, cfg["master_seed"], t)
             pair = [eliminant_bivariate(*s.polys, axis) for axis in "xy"]
-            verdicts = res._certify_squarefree(pair)
+            verdicts = [res._certify_squarefree(r) for r in pair]
             assert verdicts == [_oracle_certified(r) for r in pair]
             for r, ok in zip(pair, verdicts):
                 if ok:

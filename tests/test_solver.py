@@ -136,7 +136,7 @@ def test_floor_stop_ends_ill_conditioned_batch(monkeypatch):
     # the Aberth correction alone, from the circle, it ran all 200 sweeps
     # and left 2 roots flagged unconverged
     s = sample_bernoulli_system(2, 10, 1, 13)
-    (((factor, mult),),) = roots_structure(eliminant_bivariate(*s.polys, "y"))
+    ((factor, mult),) = roots_structure(eliminant_bivariate(*s.polys, "y"))
     assert (mult, len(factor) - 1) == (1, 100)
     calls = []
     floor_test = solver._at_rounding_floor
@@ -881,7 +881,7 @@ def test_single_zero_eigenvalue_start_keeps_tiny_roots(k, lead):
 
 def _eliminant_factor(d, trial, axis):
     s = sample_bernoulli_system(2, d, 1, trial)
-    (((factor, _), *_),) = roots_structure(eliminant_bivariate(*s.polys, axis))
+    ((factor, _), *_) = roots_structure(eliminant_bivariate(*s.polys, axis))
     return solver.scaled_float_coeffs(factor).astype(complex)
 
 
@@ -1120,13 +1120,37 @@ def test_split_eliminant_is_solved_factor_by_factor():
     # seed 1, d = 4, trial 0: Res_x has a double factor; the disks catch
     # it and Yun returns a degree-14 simple factor and a linear double one
     rx = _eliminant(4, 0, "x")
-    assert [(len(f) - 1, m) for f, m in roots_structure(rx)[0]] == [(14, 1), (1, 2)]
+    assert [(len(f) - 1, m) for f, m in roots_structure(rx)] == [(14, 1), (1, 2)]
     [(_, mults, _)], sweeps, radius, _ = solver._root_multisets([("Res_x", rx)])
     assert sorted(mults.tolist()) == [1] * 14 + [2]
     assert radius is None
     whole = roots_univariate(resultants.poly_primitive(rx)).sweeps
-    parts = sum(roots_univariate(f).sweeps for f, _ in roots_structure(rx)[0])
+    parts = sum(roots_univariate(f).sweeps for f, _ in roots_structure(rx))
     assert sweeps == whole + parts
+
+
+@pytest.mark.parametrize(
+    "seed, d, trial, falls_back",
+    [(7, 6, 33, ("x", "y")), (1, 4, 0, ("x",)), (7, 6, 0, ())],
+    ids=["both", "Res_x-only", "none"],
+)
+def test_fallback_runs_once_per_polynomial_whose_disks_touch(monkeypatch, seed, d,
+                                                              trial, falls_back):
+    # the square-free structure is taken one polynomial at a time, at the
+    # polynomial whose disks failed, and never for one they isolate
+    s = sample_bernoulli_system(2, d, seed, trial)
+    assert not classify_exceptional(s).exceptional
+    calls = []
+    monkeypatch.setattr(solver, "roots_structure",
+                        lambda p: calls.append(p) or roots_structure(p))
+    cycle, diag = solve_bivariate(*s.polys)
+    assert diag.count_found == d * d
+    assert calls == [resultants.poly_primitive(eliminant_bivariate(*s.polys, axis))
+                     for axis in falls_back]
+    assert len(diag.warnings) == len(falls_back)
+    assert all(w.startswith(f"the inclusion disks of Res_{axis} ")
+               for w, axis in zip(diag.warnings, falls_back))
+    assert (diag.isolation_radius is None) == bool(falls_back)
 
 
 def _true_roots(coeffs):
